@@ -79,10 +79,6 @@ class BraidWord:
         return cls(n, letters)
 
 
-def concat(a: BraidWord, b: BraidWord) -> BraidWord:
-    return a * b
-
-
 @dataclasses.dataclass(frozen=True)
 class Permutation:
     """A bijection of {1, ..., n} stored as the 0-based image tuple."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .braid import BraidWord, Permutation
 from .errors import InternalCheckError
 from .laurent import LaurentPoly
-from .matrix import RepMatrix, _laurentify, _solve, mat_inverse
+from .matrix import RepMatrix, mat_inverse, solve
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,7 +125,7 @@ def burau_reduced_of_word(word: BraidWord) -> RepMatrix:
         raise ValueError("reduced Burau needs at least 2 strands")
     basis = _reduced_basis(n)
     full = burau_of_word(word)
-    conj = _laurentify(_solve(basis, full * basis))
+    conj = solve(basis, full * basis)
     one = LaurentPoly.one()
     for k in range(n - 1):
         if conj.entries[k][n - 1] or conj.entries[n - 1][k]:

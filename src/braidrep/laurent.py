@@ -16,7 +16,7 @@ term maps are equal.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class LaurentPoly:
@@ -291,17 +291,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.pretty()})"
-
-
-def content_gcd(polys: Iterable[LaurentPoly]) -> int:
-    """gcd of all integer coefficients appearing in the given polynomials."""
-    from math import gcd
-
-    g = 0
-    for p in polys:
-        for c in p._terms.values():
-            g = gcd(g, c)
-    return g
 
 
 def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:

@@ -3,16 +3,18 @@ Dense square matrices over exact Laurent polynomials.
 
 Matrices are small (at most n(n-1)/2 rows for the representations built on
 top), so a dense immutable tuple-of-tuples layout wins over anything sparse.
-Inversion runs Gauss-Jordan elimination over rational functions; the entries
-of the result are required to reduce to genuine Laurent polynomials, and the
-product with the input is checked against the identity before returning, so
-a wrong generator table cannot silently produce a wrong inverse.
+One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+stays inside the Laurent ring, dividing only exactly; the determinant is read
+off it, and solving and inversion divide its right block exactly by the final
+pivot.  Entries of a solution are required to be genuine Laurent
+polynomials, and an inverse is checked against the identity before
+returning, so a wrong generator table cannot silently produce a wrong inverse.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from math import gcd
+from collections.abc import Sequence
 
 from .errors import InternalCheckError
 from .laurent import LaurentPoly, divide_exact
@@ -162,116 +164,79 @@ def t_degree_range(matrix: RepMatrix) -> tuple[int, int]:
     return lo, hi
 
 
-class RationalFunction:
-    """Quotient of Laurent polynomials, normalized only by integer content and
-    monomial shift (no polynomial gcd), canonical up to a unit."""
+def _eliminate(
+    lhs: RepMatrix, rhs_rows: Sequence[tuple[LaurentPoly, ...]]
+) -> tuple[LaurentPoly, int, list[list[LaurentPoly]]]:
+    """Fraction-free Gauss-Jordan elimination of the block matrix [lhs | rhs].
 
-    __slots__ = ("num", "den")
+    Step k takes the first row at or below k with a nonzero entry in column k
+    as pivot row, with pivot p, and sets every other row to
+    (p * row - a_ik * pivot_row) / p_prev, where p_prev is the previous pivot
+    (1 at the start).  Each division is exact by Sylvester's identity, so all
+    arithmetic stays in the Laurent ring.  At the end the left block is p * I,
+    so the determinant of lhs is sign * p for the parity sign of the row swaps.
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.one()
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            den = LaurentPoly.one()
-        else:
-            g = 0
-            for c in num.terms().values():
-                g = gcd(g, c)
-            for c in den.terms().values():
-                g = gcd(g, c)
-            dmin_a, _ = den.degree_range(0)
-            dmin_b = den.degree_range(1)[0]
-            lead = den.terms()[max(den.terms())]
-            if lead < 0:
-                g = -g
-            if g != 1 or dmin_a or dmin_b:
-                shift = LaurentPoly.monomial(1, -dmin_a, -dmin_b)
-                num = divide_int(num * shift, g)
-                den = divide_int(den * shift, g)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFunction":
-        return cls(p)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def to_laurent(self) -> LaurentPoly | None:
-        return divide_exact(self.num, self.den)
-
-    def __repr__(self) -> str:
-        return f"({self.num.pretty()}) / ({self.den.pretty()})"
-
-
-def divide_int(p: LaurentPoly, k: int) -> LaurentPoly:
-    return LaurentPoly({key: c // k for key, c in p.terms().items()})
-
-
-def _solve(lhs: RepMatrix, rhs: RepMatrix) -> list[list[RationalFunction]]:
-    """Solve lhs * X = rhs by Gauss-Jordan over rational functions."""
+    Returns (p, sign, right block); p is zero and the right block empty when
+    lhs is singular.  Entries known to stay zero or to be unchanged are
+    skipped, which keeps cold generator inversion fast.
+    """
     d = lhs.dim
-    if rhs.dim != d:
-        raise ValueError(f"dimension mismatch: {d} vs {rhs.dim}")
-    a = [[RationalFunction(e) for e in row] for row in lhs.entries]
-    b = [[RationalFunction(e) for e in row] for row in rhs.entries]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if not a[r][col].is_zero()), None)
+    rows = [list(a + b) for a, b in zip(lhs.entries, rhs_rows)]
+    p_prev = LaurentPoly.one()
+    sign = 1
+    for k in range(d):
+        pivot = next((r for r in range(k, d) if rows[r][k]), None)
         if pivot is None:
-            raise InternalCheckError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        p = a[col][col]
-        a[col] = [e / p for e in a[col]]
-        b[col] = [e / p for e in b[col]]
-        for r in range(d):
-            if r == col:
+            return LaurentPoly.zero(), sign, []
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        prow = rows[k]
+        p = prow[k]
+        rescale = p != p_prev
+        for i in range(d):
+            row = rows[i]
+            a = row[k]
+            if i == k or not (a or rescale):
                 continue
-            f = a[r][col]
-            if f.is_zero():
-                continue
-            a[r] = [e - f * g for e, g in zip(a[r], a[col])]
-            b[r] = [e - f * g for e, g in zip(b[r], b[col])]
-    return b
+            # columns left of k are final (zero or the old diagonal) and never read again
+            for j in range(k + 1, len(prow)):
+                e = row[j]
+                g = prow[j]
+                if a and g:
+                    num = p * e - a * g if e else -(a * g)
+                elif e:
+                    num = p * e
+                else:
+                    continue
+                row[j] = _divide(num, p_prev)
+        p_prev = p
+    return p_prev, sign, [row[d:] for row in rows]
 
 
-def _laurentify(rows: list[list[RationalFunction]]) -> RepMatrix:
-    out = []
-    for row in rows:
-        new_row = []
-        for e in row:
-            p = e.to_laurent()
-            if p is None:
-                raise InternalCheckError(
-                    f"matrix entry does not reduce to a Laurent polynomial: {e!r}"
-                )
-            new_row.append(p)
-        out.append(tuple(new_row))
-    return RepMatrix(tuple(out))
+def _divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    if den.is_one():
+        return num
+    quot = divide_exact(num, den)
+    if quot is None:
+        raise InternalCheckError(
+            f"quotient is not a Laurent polynomial: ({num.pretty()}) / ({den.pretty()})"
+        )
+    return quot
+
+
+def solve(lhs: RepMatrix, rhs: RepMatrix) -> RepMatrix:
+    """The exact solution X of lhs * X = rhs over the Laurent ring.
+
+    Raises InternalCheckError when lhs is singular or an entry of X is not a
+    Laurent polynomial.
+    """
+    if rhs.dim != lhs.dim:
+        raise ValueError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
+    p, _, right = _eliminate(lhs, rhs.entries)
+    if not p:
+        raise InternalCheckError("singular matrix")
+    return RepMatrix(tuple(tuple(_divide(e, p) for e in row) for row in right))
 
 
 def mat_inverse(matrix: RepMatrix) -> RepMatrix:
@@ -280,33 +245,13 @@ def mat_inverse(matrix: RepMatrix) -> RepMatrix:
     The product matrix * inverse is asserted to be the identity before
     returning.
     """
-    inv = _laurentify(_solve(matrix, RepMatrix.identity(matrix.dim)))
+    inv = solve(matrix, RepMatrix.identity(matrix.dim))
     if not (matrix * inv).is_identity():
         raise InternalCheckError("inverse verification failed")
     return inv
 
 
 def mat_det(matrix: RepMatrix) -> LaurentPoly:
-    """Exact determinant via elimination over rational functions."""
-    d = matrix.dim
-    a = [[RationalFunction(e) for e in row] for row in matrix.entries]
-    det = RationalFunction(LaurentPoly.one())
-    sign = 1
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if not a[r][col].is_zero()), None)
-        if pivot is None:
-            return LaurentPoly.zero()
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        p = a[col][col]
-        det = det * p
-        for r in range(col + 1, d):
-            f = a[r][col]
-            if f.is_zero():
-                continue
-            a[r] = [e - (f / p) * g for e, g in zip(a[r], a[col])]
-    result = det.to_laurent()
-    if result is None:
-        raise InternalCheckError("determinant did not reduce to a Laurent polynomial")
-    return result if sign == 1 else -result
+    """Exact determinant, read off the fraction-free elimination."""
+    p, sign, _ = _eliminate(matrix, [()] * matrix.dim)
+    return p if sign == 1 else -p

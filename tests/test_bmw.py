@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from braidrep.bmw import (
@@ -155,9 +153,5 @@ def test_bmw_relation_guard():
         bmw_relation_check(1)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("BRAIDREP_BMW_N6"),
-    reason="slow opt-in check; set BRAIDREP_BMW_N6=1 to run",
-)
 def test_bmw_relations_n6():
     assert bmw_relation_check(6).passed

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from braidrep.braid import BraidWord
 from braidrep.errors import InternalCheckError
 from braidrep.laurent import LaurentPoly
+from braidrep.lkb import lkb_generator, lkb_of_word
 from braidrep.matrix import RepMatrix, mat_det, mat_inverse, t_degree_range
+from braidrep.verify import random_word
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
@@ -104,6 +107,41 @@ def test_det_multiplicative():
     for _ in range(10):
         a, b = random_matrix(rng, 3), random_matrix(rng, 3)
         assert mat_det(a * b) == mat_det(a) * mat_det(b)
+
+
+def test_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    q, t = sympy.symbols("q t")
+
+    def to_sympy(p: LaurentPoly):
+        return sum((c * q**a * t**b for (a, b), c in p.terms().items()), sympy.Integer(0))
+
+    rng = random.Random(15)
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 4))
+        rows = [[to_sympy(e) for e in row] for row in m.entries]
+        oracle = sympy.Matrix(rows).det(method="berkowitz")  # division-free
+        assert sympy.expand(oracle - to_sympy(mat_det(m))) == 0
+
+
+def _signed_words():
+    rng = random.Random(16)
+    words = [BraidWord(5, (1, -2, 3, -4, 2, 1))]
+    for n in (3, 4, 5):
+        words += [random_word(n, 6, rng) for _ in range(8)]
+    return words
+
+
+def test_lkb_inverse_is_image_of_inverse_word():
+    for w in _signed_words():
+        assert mat_inverse(lkb_of_word(w)) == lkb_of_word(w.inverse())
+
+
+def test_lkb_det_is_power_of_generator_det():
+    # all generators are conjugate, so they share one determinant
+    for w in _signed_words():
+        exponent_sum = sum(1 if e > 0 else -1 for e in w.letters)
+        assert mat_det(lkb_of_word(w)) == mat_det(lkb_generator(w.n, 1)) ** exponent_sum
 
 
 def test_scalar_value():
