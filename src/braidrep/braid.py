@@ -25,11 +25,13 @@ class BraidWord:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("strand count must be at least 1")
-        for e in self.letters:
-            if e == 0 or abs(e) > self.n - 1:
-                raise ValueError(f"letter {e} out of range for {self.n} strands")
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
+        for e in self.letters:
+            if not isinstance(e, int):
+                raise ValueError(f"letter {e!r} is not an integer")
+            if e == 0 or abs(e) > self.n - 1:
+                raise ValueError(f"letter {e} out of range for {self.n} strands")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -10,45 +10,73 @@ exponent slots.
 
 Instances are immutable: every operation returns a fresh polynomial, and
 zero coefficients are never stored, so two polynomials are equal iff their
-term maps are equal.
+term maps are equal.  A constant polynomial hashes like its integer.
+
+All term collection goes through one private kernel: ``_accumulate`` adds
+(key, coefficient) items into a dict and drops zero sums, and ``_add_product``,
+the only double loop over term pairs, adds x * y into an accumulator that
+``_collected`` turns into a polynomial.  The matrix product and the W-vector
+action in ``lkb`` use it too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Mapping
+
+
+def _accumulate(acc: dict, items) -> dict:
+    """Add (key, coefficient) items into acc, dropping keys whose sum is 0."""
+    get = acc.get
+    for key, c in items:
+        v = get(key, 0) + c
+        if v:
+            acc[key] = v
+        elif key in acc:
+            del acc[key]
+    return acc
+
+
+def _add_product(acc: dict, x: "LaurentPoly", y: "LaurentPoly") -> dict:
+    """Add the term products of x * y into acc; sums that cancel stay as 0."""
+    get = acc.get
+    y_items = y._terms.items()
+    for (a1, b1), c1 in x._terms.items():
+        for (a2, b2), c2 in y_items:
+            key = (a1 + a2, b1 + b2)
+            acc[key] = get(key, 0) + c1 * c2
+    return acc
+
+
+def _collected(acc: dict) -> "LaurentPoly":
+    """The polynomial of an accumulator filled by _add_product; acc is taken over, not copied."""
+    if 0 in acc.values():
+        acc = {key: c for key, c in acc.items() if c}
+    return LaurentPoly._make(acc) if acc else _ZERO
 
 
 class LaurentPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        data: dict[tuple[int, int], int] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if c:
-                    key = (int(a), int(b))
-                    v = data.get(key, 0) + int(c)
-                    if v:
-                        data[key] = v
-                    elif key in data:
-                        del data[key]
-        object.__setattr__(self, "_terms", data)
-        object.__setattr__(self, "_hash", None)
+        items = (terms or {}).items()
+        self._terms = _accumulate({}, (((index(a), index(b)), index(c)) for (a, b), c in items))
+        self._hash = None
 
     @classmethod
     def _make(cls, data: dict[tuple[int, int], int]) -> "LaurentPoly":
         # internal: data must already be normalized (no zero coefficients)
         self = object.__new__(cls)
-        object.__setattr__(self, "_terms", data)
-        object.__setattr__(self, "_hash", None)
+        self._terms = data
+        self._hash = None
         return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._make({})
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -56,12 +84,12 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls._make({(0, 0): int(c)} if c else {})
+        return cls._make({(0, 0): index(c)} if c else {})
 
     @classmethod
     def monomial(cls, c: int, a: int, b: int) -> "LaurentPoly":
         """c * v1^a * v2^b"""
-        return cls._make({(a, b): int(c)} if c else {})
+        return cls._make({(index(a), index(b)): index(c)} if c else {})
 
     @classmethod
     def var_q(cls) -> "LaurentPoly":
@@ -89,8 +117,12 @@ class LaurentPoly:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
+            terms = self._terms
+            if terms.keys() <= {(0, 0)}:
+                h = hash(terms.get((0, 0), 0))
+            else:
+                h = hash(frozenset(terms.items()))
+            self._hash = h
         return h
 
     def is_one(self) -> bool:
@@ -103,14 +135,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        res = dict(self._terms)
-        for key, c in other._terms.items():
-            v = res.get(key, 0) + c
-            if v:
-                res[key] = v
-            elif key in res:
-                del res[key]
-        return LaurentPoly._make(res)
+        return LaurentPoly._make(_accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -118,32 +143,21 @@ class LaurentPoly:
         return LaurentPoly._make({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        elif not isinstance(other, LaurentPoly):
+        if not isinstance(other, (int, LaurentPoly)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly.const(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly.zero()
+            if not other:
+                return _ZERO
             return LaurentPoly._make({key: c * other for key, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        res: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                v = res.get(key, 0) + c1 * c2
-                if v:
-                    res[key] = v
-                elif key in res:
-                    del res[key]
-        return LaurentPoly._make(res)
+        return _collected(_add_product({}, self, other))
 
     __rmul__ = __mul__
 
@@ -152,7 +166,7 @@ class LaurentPoly:
             if len(self._terms) == 1:
                 ((a, b), c) = next(iter(self._terms.items()))
                 if c in (1, -1):
-                    return LaurentPoly.monomial(c, a * exp, b * exp) if exp % 2 else LaurentPoly.monomial(1, a * exp, b * exp)
+                    return LaurentPoly.monomial(c if exp % 2 else 1, a * exp, b * exp)
             raise ValueError("negative powers only for unit monomials")
         acc = LaurentPoly.one()
         base = self
@@ -184,14 +198,11 @@ class LaurentPoly:
         A zero point is only rejected when the corresponding variable occurs
         with a negative exponent somewhere in the polynomial.
         """
-        q_value = Fraction(q_value)
         t_value = Fraction(t_value)
-        total = Fraction(0)
-        for (a, b), c in self._terms.items():
-            if (a < 0 and q_value == 0) or (b < 0 and t_value == 0):
-                raise ValueError("zero evaluation point for a variable with negative exponent")
-            total += c * q_value**a * t_value**b
-        return total
+        if t_value == 0 and any(b < 0 for _, b in self._terms):
+            raise ValueError("zero evaluation point for a variable with negative exponent")
+        values = self.evaluate_first(q_value)
+        return sum((c * t_value**b for b, c in values.items()), Fraction(0))
 
     def evaluate_first(self, q_value: Fraction) -> dict[int, Fraction]:
         """Evaluate the first variable, keeping the second symbolic.
@@ -199,16 +210,9 @@ class LaurentPoly:
         Returns a map from second-variable exponent to exact rational coefficient.
         """
         q_value = Fraction(q_value)
-        out: dict[int, Fraction] = {}
-        for (a, b), c in self._terms.items():
-            if a < 0 and q_value == 0:
-                raise ValueError("zero evaluation point for a variable with negative exponent")
-            v = out.get(b, Fraction(0)) + c * q_value**a
-            if v:
-                out[b] = v
-            elif b in out:
-                del out[b]
-        return out
+        if q_value == 0 and any(a < 0 for a, _ in self._terms):
+            raise ValueError("zero evaluation point for a variable with negative exponent")
+        return _accumulate({}, ((b, c * q_value**a) for (a, b), c in self._terms.items()))
 
     def subst_monomial(
         self,
@@ -225,20 +229,13 @@ class LaurentPoly:
         s2, p2, r2 = second_to
         if s1 not in (1, -1) or s2 not in (1, -1):
             raise ValueError("substitution sign must be +1 or -1")
-        res: dict[tuple[int, int], int] = {}
-        for (a, b), c in self._terms.items():
-            sign = 1
-            if s1 == -1 and a % 2:
-                sign = -sign
-            if s2 == -1 and b % 2:
-                sign = -sign
-            key = (p1 * a + p2 * b, r1 * a + r2 * b)
-            v = res.get(key, 0) + sign * c
-            if v:
-                res[key] = v
-            elif key in res:
-                del res[key]
-        return LaurentPoly._make(res)
+        # a variable sent to a negative monomial contributes (-1)^(its exponent)
+        flip_a, flip_b = s1 == -1, s2 == -1
+        items = (
+            ((p1 * a + p2 * b, r1 * a + r2 * b), -c if (flip_a * a + flip_b * b) % 2 else c)
+            for (a, b), c in self._terms.items()
+        )
+        return LaurentPoly._make(_accumulate({}, items))
 
     # -- text forms ----------------------------------------------------------
 
@@ -254,7 +251,7 @@ class LaurentPoly:
         text = text.strip()
         if text == "0":
             return cls.zero()
-        data: dict[tuple[int, int], int] = {}
+        items = []
         for part in text.split(" + "):
             try:
                 cs, qs, ts = part.split("*")
@@ -264,8 +261,8 @@ class LaurentPoly:
                 c = int(cs)
             except ValueError:
                 raise ValueError(f"malformed polynomial term {part!r}") from None
-            data[key] = data.get(key, 0) + c
-        return cls(data)
+            items.append((key, c))
+        return cls._make(_accumulate({}, items))
 
     def pretty(self, names: tuple[str, str] = ("q", "t")) -> str:
         """Human-readable form, e.g. ``1 - q*t^2``."""
@@ -304,35 +301,32 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
         return LaurentPoly.zero()
+    if len(den._terms) == 1:  # a monomial: only its coefficient can fail to divide
+        ((da, db), dc), = den._terms.items()
+        if any(c % dc for c in num._terms.values()):
+            return None
+        return LaurentPoly._make({(a - da, b - db): c // dc for (a, b), c in num._terms.items()})
 
     def min_exps(p: LaurentPoly) -> tuple[int, int]:
-        keys = list(p._terms)
-        return min(k[0] for k in keys), min(k[1] for k in keys)
+        first, second = zip(*p._terms)
+        return min(first), min(second)
 
     na, nb = min_exps(num)
     da, db = min_exps(den)
-    shift = (na - da, nb - db)
     rem = {(a - na, b - nb): c for (a, b), c in num._terms.items()}
-    dterms = sorted(
-        (((a - da, b - db), c) for (a, b), c in den._terms.items()), reverse=True
-    )
-    (lda, ldb), ldc = dterms[0]
+    dterms = [((a - da, b - db), c) for (a, b), c in den._terms.items()]
+    (lda, ldb), ldc = max(dterms)
     quot: dict[tuple[int, int], int] = {}
     while rem:
-        (ra, rb) = max(rem)
+        ra, rb = max(rem)
         rc = rem[(ra, rb)]
         qa, qb = ra - lda, rb - ldb
         if qa < 0 or qb < 0 or rc % ldc:
             return None
         qc = rc // ldc
-        quot[(qa, qb)] = qc
-        for (a, b), c in dterms:
-            key = (a + qa, b + qb)
-            v = rem.get(key, 0) - qc * c
-            if v:
-                rem[key] = v
-            elif key in rem:
-                del rem[key]
-    return LaurentPoly._make(
-        {(a + shift[0], b + shift[1]): c for (a, b), c in quot.items()}
-    )
+        quot[(qa + na - da, qb + nb - db)] = qc
+        _accumulate(rem, [((a + qa, b + qb), -qc * c) for (a, b), c in dterms])
+    return LaurentPoly._make(quot)
+
+
+_ZERO = LaurentPoly._make({})

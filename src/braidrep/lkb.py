@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .braid import BraidWord, all_permutations, refpairs
 from .errors import InternalCheckError, ResourceGuardError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _accumulate
 from .matrix import RepMatrix, mat_inverse, t_degree_range
 
 
@@ -140,8 +140,11 @@ def length_omega(word: BraidWord) -> int:
     """Word length with respect to the simples and their inverses.
 
     Read off the t-degree span [k, l] of the image: the length is
-    max(l-k, l, -k), which is 0 exactly for the trivial braid.
+    max(l-k, l, -k), which is 0 exactly for the trivial braid.  B_1 is
+    trivial, so every word on one strand has length 0.
     """
+    if word.n == 1:
+        return 0
     lo, hi = t_degree_range(lkb_of_word(word))
     return max(hi - lo, hi, -lo)
 
@@ -180,6 +183,8 @@ def omega_ball_oracle(
     """
     if n > 4 or radius > 3:
         raise ResourceGuardError(f"omega ball for n={n}, radius={radius} exceeds desk scale")
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     cap = _ball_cap()
     generators: list[tuple[RepMatrix, BraidWord]] = []
     for x in all_permutations(n):
@@ -277,16 +282,9 @@ def apply_positive_word(
         new_coords: list[dict[int, Fraction]] = [dict() for _ in coords]
         for r, row in enumerate(matrix.entries):
             acc = new_coords[r]
-            for c, entry in enumerate(row):
-                if not entry or not coords[c]:
-                    continue
-                for t_exp, q_coeff in entry.evaluate_first(q_value).items():
-                    for v_exp, v_coeff in coords[c].items():
-                        key = t_exp + v_exp
-                        val = acc.get(key, Fraction(0)) + q_coeff * v_coeff
-                        if val:
-                            acc[key] = val
-                        elif key in acc:
-                            del acc[key]
+            for entry, coord in zip(row, coords):
+                if entry and coord:
+                    values = entry.evaluate_first(q_value).items()
+                    _accumulate(acc, ((t + v, a * b) for t, a in values for v, b in coord.items()))
         coords = new_coords
     return WVector.from_maps(word.n, coords)

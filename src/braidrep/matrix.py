@@ -3,6 +3,9 @@ Dense square matrices over exact Laurent polynomials.
 
 Matrices are small (at most n(n-1)/2 rows for the representations built on
 top), so a dense immutable tuple-of-tuples layout wins over anything sparse.
+A product collects the term products of each entry in one accumulator of the
+polynomial kernel and builds the entry once, with no intermediate polynomial
+per pair of terms.
 One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
 stays inside the Laurent ring, dividing only exactly; the determinant is read
 off it, and solving and inversion divide its right block exactly by the final
@@ -14,10 +17,12 @@ returning, so a wrong generator table cannot silently produce a wrong inverse.
 from __future__ import annotations
 
 import dataclasses
+import operator
+from collections import defaultdict
 from collections.abc import Sequence
 
 from .errors import InternalCheckError
-from .laurent import LaurentPoly, divide_exact
+from .laurent import LaurentPoly, _add_product, _collected, divide_exact
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,13 +44,7 @@ class RepMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "RepMatrix":
-        one = LaurentPoly.one()
-        zero = LaurentPoly.zero()
-        return cls(
-            tuple(
-                tuple(one if r == c else zero for c in range(dim)) for r in range(dim)
-            )
-        )
+        return cls.scalar(dim, LaurentPoly.one())
 
     @classmethod
     def scalar(cls, dim: int, value: LaurentPoly) -> "RepMatrix":
@@ -63,47 +62,35 @@ class RepMatrix:
         d = self.dim
         if other.dim != d:
             raise ValueError(f"dimension mismatch: {d} vs {other.dim}")
+        nonzero = [[(c, e) for c, e in enumerate(row) if e] for row in other.entries]
         zero = LaurentPoly.zero()
-        b = other.entries
         rows = []
-        for r in range(d):
-            arow = self.entries[r]
-            acc = [zero] * d
-            for s in range(d):
-                a = arow[s]
-                if not a:
-                    continue
-                brow = b[s]
-                for c in range(d):
-                    e = brow[c]
-                    if e:
-                        acc[c] = acc[c] + a * e
-            rows.append(tuple(acc))
+        for arow in self.entries:
+            accs: defaultdict[int, dict] = defaultdict(dict)
+            for a, brow in zip(arow, nonzero):
+                if a:
+                    for c, e in brow:
+                        _add_product(accs[c], a, e)
+            row = [zero] * d
+            for c, acc in accs.items():
+                row[c] = _collected(acc)
+            rows.append(tuple(row))
         return RepMatrix(tuple(rows))
 
-    def __add__(self, other: "RepMatrix") -> "RepMatrix":
+    def _entrywise(self, other: "RepMatrix", op) -> "RepMatrix":
         if not isinstance(other, RepMatrix):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return RepMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
+            tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries))
         )
 
+    def __add__(self, other: "RepMatrix") -> "RepMatrix":
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: "RepMatrix") -> "RepMatrix":
-        if not isinstance(other, RepMatrix):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return RepMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._entrywise(other, operator.sub)
 
     def scale(self, factor: LaurentPoly | int) -> "RepMatrix":
         return RepMatrix(
@@ -145,6 +132,8 @@ class RepMatrix:
         zero = LaurentPoly.zero()
         rows = [[zero] * dim for _ in range(dim)]
         for r, c, text in obj["entries"]:
+            if not (0 <= r < dim and 0 <= c < dim):
+                raise ValueError(f"entry index ({r}, {c}) out of range for dimension {dim}")
             rows[r][c] = LaurentPoly.from_text(text)
         return cls.from_rows(rows)
 
@@ -199,23 +188,20 @@ def _eliminate(
             a = row[k]
             if i == k or not (a or rescale):
                 continue
+            neg_a = -a
             # columns left of k are final (zero or the old diagonal) and never read again
             for j in range(k + 1, len(prow)):
                 e = row[j]
                 g = prow[j]
-                if a and g:
-                    num = p * e - a * g if e else -(a * g)
-                elif e:
-                    num = p * e
-                else:
-                    continue
-                row[j] = _divide(num, p_prev)
+                if e or (a and g):
+                    num = _collected(_add_product(_add_product({}, p, e), neg_a, g))
+                    row[j] = _divide(num, p_prev)
         p_prev = p
     return p_prev, sign, [row[d:] for row in rows]
 
 
 def _divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    if den.is_one():
+    if not num or den.is_one():
         return num
     quot = divide_exact(num, den)
     if quot is None:

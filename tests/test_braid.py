@@ -9,6 +9,7 @@ from braidrep.braid import (
     permutation_from_inversions,
     refpairs,
 )
+from braidrep.lkb import is_trivial
 
 
 def test_word_validation():
@@ -19,6 +20,18 @@ def test_word_validation():
     with pytest.raises(ValueError):
         BraidWord(1, (1,))
     BraidWord(1)  # identity braid on one strand is fine
+
+
+def test_word_from_generator_and_non_integer_letters():
+    w = BraidWord(3, (e for e in (1, 2, 1)))
+    assert w.letters == (1, 2, 1)
+    assert not is_trivial(w)
+    with pytest.raises(ValueError):
+        BraidWord(3, (1.0,))
+    with pytest.raises(ValueError):
+        BraidWord(3, ("1",))
+    with pytest.raises(ValueError):
+        BraidWord(3, (e for e in (1, 3)))
 
 
 def test_free_reduce():

@@ -141,3 +141,11 @@ def test_reduced_summand_is_a_representation():
         BraidWord(3, (2, 1, 2))
     )
     assert burau_reduced_of_word(BraidWord(4)).is_identity()
+
+
+def test_image_is_multiplicative():
+    rng = random.Random(25)
+    for n in (3, 4, 5):
+        for _ in range(6):
+            u, v = random_word(n, 8, rng), random_word(n, 8, rng)
+            assert burau_of_word(u * v) == burau_of_word(u) * burau_of_word(v)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -43,6 +44,8 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "normal-form", "--n", "3", "--word", "-1")
     assert code == 2
+    code, _, err = run(capsys, "growth", "--n", "3", "--radius", "-1")
+    assert code == 2 and "radius" in err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -93,6 +96,8 @@ def test_normal_form_output(capsys):
 def test_length_omega_output(capsys):
     code, out, _ = run(capsys, "length-omega", "--n", "3", "--word", "1,2,1")
     assert code == 0 and out.strip() == "1"
+    code, out, _ = run(capsys, "length-omega", "--n", "1", "--word", "")
+    assert code == 0 and out.strip() == "0"
 
 
 def test_growth_census(capsys):
@@ -132,3 +137,59 @@ def test_verify_all_n4(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "4")
     assert code == 0
     assert "FAIL" not in out
+
+
+def _fuzz_word(rng, n: int) -> str:
+    roll = rng.random()
+    if roll < 0.05:
+        return rng.choice(("1,x", "1,,2", " ", "+", "1.5"))
+    top = max(n, 1)
+    letters = [rng.randint(-top, top) for _ in range(rng.randint(0, 7))]
+    if roll < 0.85:
+        letters = [e for e in letters if e and abs(e) < n] or letters
+    return rng.choice((",", " ")).join(map(str, letters))
+
+
+def _fuzz_argv(rng) -> list[str]:
+    command = rng.choice(
+        ("matrix", "trivial", "equal", "normal-form", "length-omega", "growth", "bratteli",
+         "verify")
+    )
+    n = rng.randint(-1, 7)
+    if command == "matrix":
+        return [command, "--rep", rng.choice(("burau", "lkb")), "--n", str(n),
+                "--word=" + _fuzz_word(rng, n), "--format", rng.choice(("pretty", "json"))]
+    if command == "equal":
+        return [command, "--n", str(n), "--w1=" + _fuzz_word(rng, n), "--w2=" + _fuzz_word(rng, n)]
+    if command == "growth":
+        # n=4 at radius 3 is within the guard but takes over ten seconds
+        n, radius = rng.choice(
+            [(m, r) for m in range(-1, 6) for r in range(-2, 4) if (m, r) != (4, 3)]
+        )
+        return [command, "--n", str(n), "--radius", str(radius)]
+    if command == "bratteli":
+        argv = [command, "--n", str(rng.choice((-1, 0, 1, 2, 3, 5, 8, 41)))]
+        if rng.random() < 0.5:
+            rows = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+            argv += ["--diagram", ",".join(map(str, sorted(rows, reverse=True))) or "-"]
+        return argv
+    if command == "verify":
+        # the sampling suites take seconds each; their own tests run them
+        suite = rng.choice(("relations", "full-twist", "bmw"))
+        return [command, "--suite", suite, "--n", str(n)]
+    return [command, "--n", str(n), "--word=" + _fuzz_word(rng, n)]
+
+
+# argv that crashed with an uncaught exception before radius was validated
+_FORMER_CRASHES = [
+    ["growth", "--n", str(n), "--radius", str(r)] for n in (1, 2, 3, 4) for r in (-1, -2)
+]
+
+
+def test_cli_argv_fuzz(capsys):
+    rng = random.Random(2024)
+    argvs = _FORMER_CRASHES + [_fuzz_argv(rng) for _ in range(300)]
+    for argv in argvs:
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4), argv

@@ -149,3 +149,69 @@ def test_divide_exact():
     assert divide_exact(ONE + T, LaurentPoly.const(2)) is None
     with pytest.raises(ZeroDivisionError):
         divide_exact(ONE, LaurentPoly.zero())
+
+
+def test_constant_hashes_like_its_int():
+    for c in (-2, 0, 1, 5):
+        assert LaurentPoly.const(c) == c
+        assert hash(LaurentPoly.const(c)) == hash(c)
+    assert hash(T - T) == hash(0)
+    assert {1: "one"}[LaurentPoly.one()] == "one"
+    assert LaurentPoly.const(5) in {5, 7}
+    assert len({LaurentPoly.const(-2), -2, ONE, 1, T}) == 3
+
+
+def test_rejects_non_integer_input():
+    with pytest.raises(TypeError):
+        LaurentPoly({(1.5, 0): 1})
+    with pytest.raises(TypeError):
+        LaurentPoly({(1, 0): 2.0})
+    with pytest.raises(TypeError):
+        LaurentPoly({(1, 0): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        LaurentPoly.const(2.5)
+    with pytest.raises(TypeError):
+        LaurentPoly.monomial(1, 0.5, 0)
+
+
+def test_divide_exact_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    q, t = sympy.symbols("q t")
+
+    def shifted(p: LaurentPoly):
+        """p times the monomial that makes its smallest exponents 0, and that shift."""
+        terms = p.terms()
+        sa, sb = min(a for a, _ in terms), min(b for _, b in terms)
+        expr = sum(
+            (c * q ** (a - sa) * t ** (b - sb) for (a, b), c in terms.items()), sympy.Integer(0)
+        )
+        return sympy.Poly(expr, q, t, domain="QQ"), (sa, sb)
+
+    rng = random.Random(606)
+    exact = inexact = 0
+    for i in range(240):
+        den = random_poly(rng)
+        a = random_poly(rng)
+        if not den or not a:
+            continue
+        if i % 3 == 0:
+            num = a * den
+        elif i % 3 == 1:
+            num = a * den + LaurentPoly.monomial(1, rng.randint(-3, 3), rng.randint(-3, 3))
+        else:
+            num, den = a * den, 2 * den  # exact over Q only when a is even
+        if not num:
+            continue
+        (n_poly, (na, nb)), (d_poly, (da, db)) = shifted(num), shifted(den)
+        quot_poly, rem_poly = sympy.div(n_poly, d_poly)
+        got = divide_exact(num, den)
+        if rem_poly.is_zero and all(c.is_integer for c in quot_poly.coeffs()):
+            exact += 1
+            expected = LaurentPoly(
+                {(a + na - da, b + nb - db): int(c) for (a, b), c in quot_poly.terms()}
+            )
+            assert got == expected
+        else:
+            inexact += 1
+            assert got is None
+    assert exact > 40 and inexact > 40

@@ -160,6 +160,21 @@ def test_omega_ball_guards():
         omega_ball_oracle(5, 1)
     with pytest.raises(ResourceGuardError):
         omega_ball_oracle(3, 4)
+    for n in (1, 2, 3, 4):
+        with pytest.raises(ValueError):
+            omega_ball_oracle(n, -1)
+
+
+def test_length_omega_one_strand():
+    assert length_omega(BraidWord(1)) == 0
+
+
+def test_image_is_multiplicative():
+    rng = random.Random(54)
+    for n in (3, 4, 5):
+        for _ in range(6):
+            u, v = random_word(n, 8, rng), random_word(n, 8, rng)
+            assert lkb_of_word(u * v) == lkb_of_word(u) * lkb_of_word(v)
 
 
 def test_omega_ball_env_cap(monkeypatch):

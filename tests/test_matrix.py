@@ -160,3 +160,41 @@ def test_json_round_trip():
         assert again == m
     obj = RepMatrix.identity(2).to_json_obj("strand")
     assert obj == {"dim": 2, "order": "strand", "entries": [[0, 0, "1*q^0*t^0"], [1, 1, "1*q^0*t^0"]]}
+
+
+def test_json_rejects_out_of_range_indices():
+    for r, c in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        obj = {"dim": 2, "order": "strand", "entries": [[r, c, "1*q^0*t^0"]]}
+        with pytest.raises(ValueError):
+            RepMatrix.from_json_obj(obj)
+
+
+def _naive_product(x: RepMatrix, y: RepMatrix) -> tuple[tuple[LaurentPoly, ...], ...]:
+    d = x.dim
+    return tuple(
+        tuple(sum((x.entries[r][s] * y.entries[s][c] for s in range(d)), ZERO) for c in range(d))
+        for r in range(d)
+    )
+
+
+def test_product_matches_naive_sum_of_products():
+    rng = random.Random(18)
+    pool = [ONE, -ONE, T, -T, Q - T, T - Q, Q * T**-1, ONE - Q]
+    for _ in range(80):
+        d = rng.randint(1, 6)
+        x, y = (random_matrix(rng, d) for _ in range(2))
+        rows = [list(row) for row in x.entries]
+        other = [list(row) for row in y.entries]
+        if d >= 2:
+            # row 0 of x * y cancels to zero: x[0] = (p, -p, 0, ...), y[0] = y[1]
+            p = rng.choice(pool)
+            rows[0] = [p, -p] + [ZERO] * (d - 2)
+            rows[-1] = [ZERO] * d  # an all-zero row
+            other[rng.randrange(d)] = [ZERO] * d
+            other[1] = list(other[0])
+        x, y = RepMatrix.from_rows(rows), RepMatrix.from_rows(other)
+        product = x * y
+        assert product.entries == _naive_product(x, y)
+        assert all(0 not in e.terms().values() for row in product.entries for e in row)
+        if d >= 2:
+            assert not any(product.entries[0]) and not any(product.entries[-1])
