@@ -4,9 +4,9 @@ checks tying the LKB representation to it.
 
 The irreducible modules of the n-th algebra in the tower are indexed by
 Young diagrams with at most n boxes and box count congruent to n mod 2.
-Their dimensions are path counts in the Bratteli diagram: level n-1
+Their dimensions are path counts in the Bratteli diagram (level n-1
 neighbors of a diagram are obtained by removing one box, or adding one when
-the diagram has fewer than n boxes.
+the diagram has fewer than n boxes), evaluated in closed form.
 
 Partitions are stored as weakly decreasing row lengths.  The tower's
 distinguished diagrams, written in rows:
@@ -24,7 +24,7 @@ here over Z[a^{+-1}, l^{+-1}] with denominators cleared.
 from __future__ import annotations
 
 import dataclasses
-import functools
+import math
 from typing import Iterator
 
 from .errors import ResourceGuardError
@@ -141,20 +141,26 @@ def bratteli_neighbors(diagram: YoungDiagram, n: int) -> list[YoungDiagram]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _dim(n: int, rows: tuple[int, ...]) -> int:
-    if n == 1:
-        return 1
-    return sum(
-        _dim(n - 1, mu.rows) for mu in bratteli_neighbors(YoungDiagram(rows), n)
-    )
+def _standard_tableaux(rows: tuple[int, ...]) -> int:
+    """f^lambda by the hook-length formula, with hook lengths h_i in the first
+    column: k! prod_{i<j} (h_i - h_j) / prod_i h_i!."""
+    firsts = [length + len(rows) - 1 - r for r, length in enumerate(rows)]
+    vandermonde = math.prod(h - g for r, h in enumerate(firsts) for g in firsts[r + 1 :])
+    return math.factorial(sum(rows)) * vandermonde // math.prod(map(math.factorial, firsts))
 
 
 def bratteli_dim(n: int, diagram: YoungDiagram) -> int:
-    """Number of downward paths from the diagram at level n to level 1."""
+    """Number of downward paths from the diagram at level n to level 1.
+
+    Computed in closed form: C(n, k) (n-k-1)!! f^lambda for a diagram
+    lambda of k boxes, f^lambda its number of standard tableaux (cf.
+    H. Wenzl, Ann. of Math. 128, 1988).
+    """
     if not _is_admissible(diagram, n):
         raise ValueError(f"{diagram.rows} is not admissible at level {n}")
-    return _dim(n, diagram.rows)
+    k = diagram.size
+    pairings = math.prod(range(n - k - 1, 0, -2))
+    return math.comb(n, k) * pairings * _standard_tableaux(diagram.rows)
 
 
 def sum_sq_dimensions(n: int) -> int:

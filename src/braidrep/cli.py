@@ -8,6 +8,7 @@ Exit codes are a stable contract:
     2  usage error (malformed word, bad arguments)
     3  resource guard triggered (n / radius beyond desk scale)
     4  internal assertion failed (a checked identity was violated)
+    5  unexpected error (a bug: one line on stderr, no traceback)
 
 Words are comma- or whitespace-separated nonzero integers (+i for the i-th
 generator, -i for its inverse); the strand count comes from --n.  All output
@@ -203,6 +204,9 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # last resort: never let a crash read as exit 1
+        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 def main_exit() -> None:

@@ -19,6 +19,13 @@ Because the representation is faithful, the image matrix is a complete
 invariant of the braid: triviality, word equality, and the word length with
 respect to the simple elements and their inverses are all decided here by
 exact matrix computations.
+
+Before building an exact image, ``is_trivial`` and ``words_equal`` apply the
+words to one fixed vector with the generators evaluated at a fixed point
+(q, t) modulo the prime P = 2^61 - 1, which costs O(length * nonzeros) and
+builds no matrix.  Evaluation is a ring homomorphism, so a difference there
+proves the answer "no" exactly (cf. J. T. Schwartz, J. ACM 27, 1980); only
+a "yes" is confirmed by comparing exact images.
 """
 
 from __future__ import annotations
@@ -124,15 +131,75 @@ def basis_change_v_of_x(n: int) -> tuple[RepMatrix, RepMatrix]:
     return p, qm
 
 
+# -- one-sided certificate mod p ------------------------------------------------
+
+_P = (1 << 61) - 1  # a Mersenne prime
+_Q_MOD_P = 0x1D7F3A6C5B2E4981  # fixed nonzero evaluation point (q, t) mod P
+_T_MOD_P = 0x0C3B92E7A51F6D37
+_V_BASE = 0x15A4E35F1C0B2D69  # entry i of the start vector is _V_BASE^(i+1)
+
+
+def _mod_p(poly: LaurentPoly) -> int:
+    return sum(
+        c * pow(_Q_MOD_P, a, _P) * pow(_T_MOD_P, b, _P) for (a, b), c in poly.terms().items()
+    ) % _P
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_mod_p(n: int, k: int, sign: int) -> tuple:
+    """sigma_k^(+-1) evaluated at (q, t) = (Q, T) mod P, as sparse rows.
+
+    Each row is (row index, ((col, value), ...)) over its nonzero values;
+    rows equal to the identity's are left out.
+    """
+    rows = []
+    for r, row in enumerate(lkb_generator(n, k, sign).entries):
+        values = [(c, _mod_p(e)) for c, e in enumerate(row) if e]
+        values = tuple((c, x) for c, x in values if x)
+        if values != ((r, 1),):
+            rows.append((r, values))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _start_vector(dim: int) -> tuple[int, ...]:
+    return tuple(pow(_V_BASE, i + 1, _P) for i in range(dim))
+
+
+def _image_mod_p(word: BraidWord) -> tuple[int, ...]:
+    """The word's image at (Q, T) mod P applied to the start vector.
+
+    Applies one generator table per letter, right to left, to the vector:
+    no matrix is built.
+    """
+    v = _start_vector(lkb_dim(word.n))
+    for e in reversed(word.letters):
+        w = list(v)
+        for r, row in _generator_mod_p(word.n, abs(e), 1 if e > 0 else -1):
+            w[r] = sum(x * v[c] for c, x in row) % _P
+        v = w
+    return tuple(v)
+
+
 def is_trivial(word: BraidWord) -> bool:
-    """Whether the word represents the identity braid (faithfulness-based)."""
+    """Whether the word represents the identity braid (faithfulness-based).
+
+    A start vector moved mod P proves "no"; "yes" is read off the exact image.
+    """
+    if _image_mod_p(word) != _start_vector(lkb_dim(word.n)):
+        return False
     return lkb_of_word(word).is_identity()
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Whether two words represent the same braid."""
+    """Whether two words represent the same braid.
+
+    Images that differ mod P prove "no"; "yes" compares the exact images.
+    """
     if a.n != b.n:
         raise ValueError(f"strand count mismatch: {a.n} vs {b.n}")
+    if _image_mod_p(a) != _image_mod_p(b):
+        return False
     return lkb_of_word(a) == lkb_of_word(b)
 
 

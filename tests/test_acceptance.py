@@ -32,10 +32,12 @@ from braidrep.laurent import LaurentPoly
 from braidrep.lkb import (
     apply_positive_word,
     basis_change_v_of_x,
+    is_trivial,
     length_omega,
     lkb_of_word,
     omega_ball_oracle,
     w_class,
+    words_equal,
 )
 from braidrep.matrix import RepMatrix
 from braidrep.verify import (
@@ -217,6 +219,20 @@ def test_criterion_13_word_problem_cross_validation():
         nf_equal = greedy_normal_form(u) == greedy_normal_form(v)
         lkb_equal = lkb_of_word(u) == lkb_of_word(v)
         assert nf_equal == lkb_equal
+        assert words_equal(u, v) == nf_equal
         agreements += 1
     assert agreements == 1000
-    report("criterion 13: LKB equality == greedy-normal-form equality on 1000 pairs", started)
+    report("criterion 13: LKB equality and words_equal == greedy-normal-form equality on 1000 pairs", started)
+
+
+def test_criterion_14_long_word_rejected_mod_p():
+    started = time.monotonic()
+    rng = random.Random(1014)
+    letters = [rng.choice((1, -1)) * rng.randint(1, 8) for _ in range(400)]
+    # a nonzero exponent sum makes the braid nontrivial (abelianization)
+    assert sum(1 if e > 0 else -1 for e in letters) != 0
+    word = BraidWord(9, tuple(letters))
+    letters[200] = -letters[200]
+    assert not is_trivial(word)
+    assert not words_equal(word, BraidWord(9, tuple(letters)))
+    report("criterion 14: n=9 L=400 word nontrivial and unequal to a one-letter flip", started, 5.0)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from braidrep import cli
 from braidrep.cli import main
 from braidrep.matrix import RepMatrix
 
@@ -49,6 +50,16 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_unexpected_error_exits_5(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_trivial", crash)
+    code, out, err = run(capsys, "trivial", "--n", "3", "--word", "1")
+    assert code == 5 and out == ""
+    assert err == "unexpected error: RuntimeError: boom\n"
 
 
 def test_resource_guards(capsys):

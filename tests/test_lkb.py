@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from braidrep import lkb
 from braidrep.braid import BraidWord, Permutation, refpairs
 from braidrep.errors import ResourceGuardError
 from braidrep.garside import positive_action, random_half_permutation
@@ -22,7 +23,12 @@ from braidrep.lkb import (
     words_equal,
 )
 from braidrep.matrix import RepMatrix, t_degree_range
-from braidrep.verify import random_positive_word, random_w_vector, random_word
+from braidrep.verify import (
+    random_positive_word,
+    random_w_vector,
+    random_word,
+    rewritten_equivalent,
+)
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.var_q()
@@ -122,6 +128,68 @@ def test_triviality():
     assert not words_equal(BraidWord(3, (1,)), BraidWord(3, (2,)))
     with pytest.raises(ValueError):
         words_equal(BraidWord(3, (1,)), BraidWord(4, (1,)))
+
+
+def test_certificate_keeps_equal_braids_equal():
+    # rewriting by braid relations keeps the braid, so the mod-p pass must
+    # never reject these pairs
+    rng = random.Random(55)
+    for n in range(3, 8):
+        for _ in range(4):
+            u = random_word(n, 10, rng)
+            v = rewritten_equivalent(u, 8, rng)
+            assert is_trivial(u * v.inverse())
+            assert words_equal(u, v)
+
+
+def test_certificate_agrees_with_exact_images():
+    rng = random.Random(56)
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        u = random_word(n, 5, rng)
+        v = rewritten_equivalent(u, 4, rng) if rng.random() < 0.3 else random_word(n, 5, rng)
+        exact_u, exact_v = lkb_of_word(u), lkb_of_word(v)
+        assert words_equal(u, v) == (exact_u == exact_v)
+        assert is_trivial(u) == exact_u.is_identity()
+        assert is_trivial(u * v.inverse()) == (exact_u == exact_v)
+
+
+class ExactImageBuilt(Exception):
+    pass
+
+
+def test_certificate_answers_no_without_exact_images(monkeypatch):
+    def refuse(word):
+        raise ExactImageBuilt(word)
+
+    monkeypatch.setattr(lkb, "lkb_of_word", refuse)
+    # exponent sum 2, so nontrivial; the flip differs from it by sigma_3^2
+    word = BraidWord(6, (1, -2, 3, 3, -4, 5, 2, -1))
+    flipped = BraidWord(6, (1, -2, 3, -3, -4, 5, 2, -1))
+    assert not is_trivial(word)
+    assert not words_equal(word, flipped)
+    with pytest.raises(ExactImageBuilt):
+        is_trivial(BraidWord(6, (1, -1)))
+
+
+def test_generator_tables_mod_p_are_inverse():
+    p = lkb._P
+    for n in range(2, 10):
+        d = lkb_dim(n)
+        for k in range(1, n):
+            dense = {}
+            for sign in (1, -1):
+                m = [[int(r == c) for c in range(d)] for r in range(d)]
+                for r, row in lkb._generator_mod_p(n, k, sign):
+                    m[r] = [0] * d
+                    for c, x in row:
+                        assert 0 < x < p
+                        m[r][c] = x
+                dense[sign] = m
+            a, b = dense[1], dense[-1]
+            for r in range(d):
+                for c in range(d):
+                    assert sum(a[r][j] * b[j][c] for j in range(d)) % p == int(r == c)
 
 
 def test_length_omega_small():
