@@ -199,7 +199,7 @@ def _substituted_generator(n: int, i: int, sign: int) -> RepMatrix:
     return mat.scale(alpha if sign == 1 else alpha_inv)
 
 
-def bmw_relation_check(n: int, include_mirror: bool = True) -> BMWReport:
+def bmw_relation_check(n: int) -> BMWReport:
     """Verify the tower's quotient relations on the substituted LKB matrices.
 
     With S_i the scaled substituted generator and
@@ -222,40 +222,29 @@ def bmw_relation_check(n: int, include_mirror: bool = True) -> BMWReport:
     unit_sum = alpha + alpha_inv
     dim = lkb_dim(n)
     identity = RepMatrix.identity(dim)
-    s = {i: _substituted_generator(n, i, 1) for i in range(1, n)}
-    s_inv = {i: _substituted_generator(n, i, -1) for i in range(1, n)}
-    e = {i: s[i] + s_inv[i] - identity.scale(unit_sum) for i in range(1, n)}
+    s = {(i, sign): _substituted_generator(n, i, sign) for i in range(1, n) for sign in (1, -1)}
+    e = {i: s[i, 1] + s[i, -1] - identity.scale(unit_sum) for i in range(1, n)}
 
     checks: list[RelationCheck] = []
     for i in range(1, n):
         checks.append(
             RelationCheck(
                 name=f"E{i}*S{i} == l^-1*E{i}",
-                holds=e[i] * s[i] == e[i].scale(l_inv),
+                holds=e[i] * s[i, 1] == e[i].scale(l_inv),
                 required=True,
             )
         )
-    for i in range(2, n):
-        for sign, factor, tag in ((1, l_pos, "l"), (-1, l_inv, "l^-1")):
-            lhs = e[i] * (s[i - 1] if sign == 1 else s_inv[i - 1]) * e[i]
-            rhs = e[i].scale(factor * unit_sum)
-            checks.append(
-                RelationCheck(
-                    name=f"E{i}*S{i-1}^{sign:+d}*E{i} == {tag}*(a+a^-1)*E{i}",
-                    holds=lhs == rhs,
-                    required=True,
-                )
-            )
-    if include_mirror:
-        for i in range(1, n - 1):
+    for offset, suffix in ((-1, ""), (1, " [mirror]")):
+        for i in range(1, n):
+            j = i + offset
+            if not 1 <= j < n:
+                continue
             for sign, factor, tag in ((1, l_pos, "l"), (-1, l_inv, "l^-1")):
-                lhs = e[i] * (s[i + 1] if sign == 1 else s_inv[i + 1]) * e[i]
-                rhs = e[i].scale(factor * unit_sum)
                 checks.append(
                     RelationCheck(
-                        name=f"E{i}*S{i+1}^{sign:+d}*E{i} == {tag}*(a+a^-1)*E{i} [mirror]",
-                        holds=lhs == rhs,
-                        required=False,
+                        name=f"E{i}*S{j}^{sign:+d}*E{i} == {tag}*(a+a^-1)*E{i}{suffix}",
+                        holds=e[i] * s[j, sign] * e[i] == e[i].scale(factor * unit_sum),
+                        required=offset == -1,
                     )
                 )
     return BMWReport(n, tuple(checks))

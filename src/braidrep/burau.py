@@ -8,10 +8,10 @@ t = 1 recovers the permutation matrices of the symmetric group, and the
 whole representation splits off a trivial one-dimensional summand, exposed
 here as the reduced (n-1)-dimensional view.
 
-This representation is unfaithful from six strands on; ``kernel_word_b6``
-returns the classical 44-letter commutator witnessing that, built from two
-conjugates of the third generator whose Burau images commute while the
-braids themselves do not.
+This representation is unfaithful from five strands on (Bigelow, Geom.
+Topol. 3, 1999); ``kernel_word_b6`` returns the classical 44-letter
+commutator in B6 witnessing that, built from two conjugates of the third
+generator whose Burau images commute while the braids themselves do not.
 """
 
 from __future__ import annotations

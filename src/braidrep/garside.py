@@ -7,10 +7,10 @@ positive braid of length |x| projecting to x, and these lifts multiply like
 their permutations exactly when lengths add.  On top of that identification
 this module provides
 
-- the leftmost-factor computation, folding the transfer rule
-  LF(xy) = LF(x*LF(y)) over a positive word,
-- the left-weighted (greedy) normal form, which is a complete equality
-  oracle for positive words,
+- the left-weighted (greedy) normal form, a complete equality oracle for
+  positive words, and the leftmost factor as its first factor.  Both rest
+  on one step that left-weights a pair of simples in place (also behind
+  ``simple_head``), run on the pairs from the right after each letter,
 - the greatest-braid map GB from half-permutations to simples,
 - the induced monoid action of positive words on subsets of Ref, read off
   the t-constant terms of the LKB generator matrices, and
@@ -29,32 +29,44 @@ from .braid import BraidWord, Permutation, all_permutations, permutation_from_in
 from .errors import InternalCheckError
 
 
+def _left_weight(u: list[int], v: list[int]) -> bool:
+    """Left-weight the pair of simples with image lists u, v in place.
+
+    While generator i is an ascent of u (positions i, i+1) and a left descent
+    of v (value i sits after value i+1), it moves from the front of v to the
+    back of u.  Returns whether anything moved.
+    """
+    moved = False
+    i = 0
+    while i < len(u) - 1:
+        if u[i] < u[i + 1] and (a := v.index(i)) > (b := v.index(i + 1)):
+            u[i], u[i + 1] = u[i + 1], u[i]
+            v[a], v[b] = i + 1, i
+            moved, i = True, max(i - 1, 0)
+        else:
+            i += 1
+    return moved
+
+
 def simple_head(u: Permutation, v: Permutation) -> tuple[Permutation, Permutation]:
     """Left-weight the pair of simples (u, v) without changing their product.
 
-    While some generator both extends u on the right and starts v, it is
-    transferred; the smallest eligible index is always taken, so the result
-    is deterministic.  The returned head is the leftmost factor of the
+    Generators that extend u on the right and start v move from v to u until
+    none is left.  The left-weighted pair is unique, so the order of the
+    moves does not matter: the returned head is the leftmost factor of the
     product of the two simples.
     """
-    n = u.n
-    while True:
-        eligible = v.left_descents() - u.right_descents()
-        if not eligible:
-            return u, v
-        s = Permutation.transposition(n, min(eligible))
-        u = u * s
-        v = s * v
+    head, rest = list(u.image), list(v.image)
+    _left_weight(head, rest)
+    return Permutation(tuple(head)), Permutation(tuple(rest))
 
 
 def lf_positive(word: BraidWord) -> Permutation:
-    """Leftmost factor of a positive word: the longest simple left-divisor."""
+    """Leftmost factor of a positive word: the longest simple left-divisor,
+    which is the first factor of its normal form."""
     if not word.is_positive:
         raise ValueError("leftmost factor is defined for positive words only")
-    acc = Permutation.identity(word.n)
-    for e in reversed(word.letters):
-        acc = simple_head(Permutation.transposition(word.n, e), acc)[0]
-    return acc
+    return (greedy_normal_form(word).factors or (Permutation.identity(word.n),))[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,19 +91,24 @@ class NormalForm:
 
 
 def greedy_normal_form(word: BraidWord) -> NormalForm:
+    """Append each letter as a factor, then left-weight the pairs from the
+    right up to the first pair where nothing moves; only the last factor can
+    become the identity, and it is dropped."""
     if not word.is_positive:
         raise ValueError("normal form is defined for positive words only")
     n = word.n
-    factors = [Permutation.transposition(n, e) for e in word.letters]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(factors) - 1):
-            head, rest = simple_head(factors[p], factors[p + 1])
-            if head != factors[p]:
-                factors[p], factors[p + 1] = head, rest
-                changed = True
-    return NormalForm(n, tuple(f for f in factors if not f.is_identity()))
+    identity = list(range(n))
+    factors: list[list[int]] = []
+    for e in word.letters:
+        factors.append(identity[: e - 1] + [e, e - 1] + identity[e + 1 :])
+        for p in range(len(factors) - 2, -1, -1):
+            if not _left_weight(factors[p], factors[p + 1]):
+                break
+        if factors[-1] == identity:
+            factors.pop()
+    # Built from a list: tuple() of a generator resizes its result, and the
+    # resized tuples pile up in CPython's per-size free lists over many calls.
+    return NormalForm(n, tuple([Permutation(tuple(f)) for f in factors]))
 
 
 # -- half-permutations and the greatest braid --------------------------------
@@ -125,16 +142,11 @@ def half_permutation_from_json(obj) -> frozenset[tuple[int, int]]:
 
 
 def random_half_permutation(n: int, rng: random.Random) -> frozenset[tuple[int, int]]:
-    """A random subset of Ref, transitively closed after sampling."""
+    """A random subset of Ref, transitively closed after sampling (one
+    Warshall pass over the middle index j)."""
     pairs = {p for p in refpairs(n) if rng.random() < 0.4}
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(pairs):
-            for (j2, k) in list(pairs):
-                if j2 == j and (i, k) not in pairs:
-                    pairs.add((i, k))
-                    changed = True
+    for j in range(2, n):
+        pairs |= {(i, k) for i, a in pairs if a == j for b, k in pairs if b == j}
     return frozenset(pairs)
 
 
@@ -142,23 +154,19 @@ def gb(n: int, pairs: Iterable[tuple[int, int]]) -> Permutation:
     """Greatest braid: the simple whose inversion set is the greatest
     inversion set contained in the given half-permutation.
 
-    Works by removing pairs (i, k) that violate the betweenness property of
-    inversion sets until a fixpoint; validated exhaustively against
-    ``gb_oracle`` for n <= 5 in the test suite.
+    Pairs outside Ref(n) are rejected.  Removes each pair (i, k) for which
+    some i < j < k has neither (i, j) nor (j, k) left, visiting pairs by
+    increasing span k - i: the test reads only pairs of smaller span, which
+    are settled by then, so one pass reaches the fixpoint.  Validated
+    exhaustively against ``gb_oracle`` for n <= 5 in the test suite.
     """
     a = set(pairs)
-    if not is_half_permutation(n, frozenset(a)):
+    ref = refpairs(n)
+    if not a <= set(ref) or not is_half_permutation(n, frozenset(a)):
         raise ValueError("input is not a half-permutation")
-    changed = True
-    while changed:
-        changed = False
-        for (i, k) in sorted(a):
-            if any(
-                (i, j) not in a and (j, k) not in a for j in range(i + 1, k)
-            ):
-                a.remove((i, k))
-                changed = True
-                break
+    for i, k in sorted(ref, key=lambda p: p[1] - p[0]):
+        if (i, k) in a and any((i, j) not in a and (j, k) not in a for j in range(i + 1, k)):
+            a.remove((i, k))
     return permutation_from_inversions(n, a)
 
 

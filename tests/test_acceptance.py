@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from braidrep.braid import BraidWord, all_permutations
+from braidrep.braid import BraidWord, Permutation, all_permutations
 from braidrep.bmw import (
     YoungDiagram,
     bmw_relation_check,
@@ -25,6 +25,7 @@ from braidrep.garside import (
     greedy_normal_form,
     lf_positive,
     positive_action,
+    positive_fraction,
     random_half_permutation,
     simple_head,
 )
@@ -236,3 +237,31 @@ def test_criterion_14_long_word_rejected_mod_p():
     assert not is_trivial(word)
     assert not words_equal(word, BraidWord(9, tuple(letters)))
     report("criterion 14: n=9 L=400 word nontrivial and unequal to a one-letter flip", started, 5.0)
+
+
+def _nf_equal(u: BraidWord, v: BraidWord) -> bool:
+    """u == v by normal forms: with u = x D^-d and v = x' D^-d', the braids
+    agree iff x D^(d'-d) and x' have the same normal form."""
+    delta = Permutation.longest(u.n).reduced_word()
+    (x, y), (x2, y2) = positive_fraction(u), positive_fraction(v)
+    shift = (len(y2) - len(y)) // len(delta)
+    for _ in range(shift):
+        x = x * delta
+    for _ in range(-shift):
+        x2 = x2 * delta
+    return greedy_normal_form(x) == greedy_normal_form(x2)
+
+
+def test_criterion_15_signed_equality_by_normal_forms():
+    started = time.monotonic()
+    rng = random.Random(1015)
+    for _ in range(10):
+        letters = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(120)]
+        word = BraidWord(6, tuple(letters))
+        assert _nf_equal(word, rewritten_equivalent(word, 40, rng))
+        p = rng.randrange(len(letters))
+        letters[p] = -letters[p]
+        flip = BraidWord(6, tuple(letters))
+        assert not _nf_equal(word, flip)
+        assert not words_equal(word, flip)
+    report("criterion 15: signed n=6 L=120 words equal to rewrites, unequal to flips, by normal forms", started, 10.0)

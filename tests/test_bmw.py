@@ -148,6 +148,15 @@ def test_bmw_relations(n):
     required = [c for c in report.checks if c.required]
     # one quadratic-type relation per generator plus two sandwich relations per i >= 2
     assert len(required) == (n - 1) + 2 * (n - 2)
+    # required checks first, each sandwich as +1 then -1; mirrors last
+    sandwich = "E{i}*S{j}^{s}*E{i} == {tag}*(a+a^-1)*E{i}"
+    expected = [f"E{i}*S{i} == l^-1*E{i}" for i in range(1, n)]
+    neighbours = [(i, i - 1, "") for i in range(2, n)] + [(i, i + 1, " [mirror]") for i in range(1, n - 1)]
+    for i, j, suffix in neighbours:
+        for s, tag in (("+1", "l"), ("-1", "l^-1")):
+            expected.append(sandwich.format(i=i, j=j, s=s, tag=tag) + suffix)
+    assert [c.name for c in report.checks] == expected
+    assert [c.required for c in report.checks] == [not c.name.endswith("[mirror]") for c in report.checks]
 
 
 def test_bmw_relation_guard():

@@ -53,6 +53,41 @@ def brute_force_lf(word: BraidWord) -> Permutation:
     return best
 
 
+def bubble_normal_form(word: BraidWord) -> tuple[Permutation, ...]:
+    """Reference: sweep all adjacent factor pairs until a sweep changes
+    nothing, left-weighting each pair by transferring the smallest eligible
+    generator one at a time on Permutation objects."""
+    n = word.n
+    factors = [Permutation.transposition(n, e) for e in word.letters]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(len(factors) - 1):
+            u, v = factors[p], factors[p + 1]
+            while eligible := v.left_descents() - u.right_descents():
+                s = Permutation.transposition(n, min(eligible))
+                u, v = u * s, s * v
+            if u != factors[p]:
+                factors[p], factors[p + 1] = u, v
+                changed = True
+    return tuple(f for f in factors if not f.is_identity())
+
+
+def closure_half_permutation(n: int, rng: random.Random) -> frozenset[tuple[int, int]]:
+    """Reference: the same draws as random_half_permutation, closed by
+    adding (i, k) for (i, j), (j, k) until nothing is added."""
+    pairs = {p for p in refpairs(n) if rng.random() < 0.4}
+    changed = True
+    while changed:
+        changed = False
+        for (i, j) in list(pairs):
+            for (j2, k) in list(pairs):
+                if j2 == j and (i, k) not in pairs:
+                    pairs.add((i, k))
+                    changed = True
+    return frozenset(pairs)
+
+
 def test_simple_head_examples():
     # nothing transfers: s1 * s1 does not have length 2
     assert simple_head(s(3, 1), s(3, 1)) == (s(3, 1), s(3, 1))
@@ -145,6 +180,29 @@ def test_normal_form_left_weighted_and_faithful():
             assert lkb_of_word(nf.to_word()) == lkb_of_word(w)
 
 
+def _structured_words(n):
+    delta = Permutation.longest(n).reduced_word().letters
+    yield from (BraidWord(n, delta * k) for k in (1, 2, 4))
+    yield from (BraidWord(n, tuple(range(1, n)) * m) for m in (3, 20))
+    yield from (BraidWord(n, (1, 2) * m) for m in (1, 10, 40))
+
+
+def test_normal_form_matches_bubble_reference():
+    rng = random.Random(41)
+    words = [
+        BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(50, 130))))
+        for n in (5, 6, 7, 8)
+        for _ in range(3)
+    ]
+    words += [w for n in (5, 6, 7, 8) for w in _structured_words(n)]
+    for w in words:
+        factors = greedy_normal_form(w).factors
+        assert factors == bubble_normal_form(w), (w.n, w.letters)
+        assert all(not f.is_identity() for f in factors)
+        for a, b in zip(factors, factors[1:]):
+            assert not (b.left_descents() - a.right_descents())
+
+
 def test_normal_form_emptiness_is_triviality():
     from braidrep.lkb import is_trivial
 
@@ -205,10 +263,13 @@ def test_gb_examples():
         assert gb(4, x.inversion_set()) == x
     with pytest.raises(ValueError):
         gb(4, frozenset({(1, 2), (2, 4)}))  # not transitively closed
+    for outside in ({(1, 9)}, {(8, 9)}, {(2, 1)}, {(0, 2)}):  # not in Ref(3)
+        with pytest.raises(ValueError, match="not a half-permutation"):
+            gb(3, frozenset(outside))
 
 
 def test_gb_matches_oracle_exhaustively():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for a in all_half_permutations(n):
             assert gb(n, a) == gb_oracle(n, a)
 
@@ -217,6 +278,14 @@ def test_gb_oracle_spot():
     # betweenness kills (1,3) when neither (1,2) nor (2,3) is present
     assert gb_oracle(3, frozenset({(1, 3)})) == Permutation.identity(3)
     assert gb(3, frozenset({(1, 3)})) == Permutation.identity(3)
+
+
+def test_random_half_permutation_matches_closure_reference():
+    for n in range(2, 9):
+        for seed in range(20):
+            assert random_half_permutation(n, random.Random(seed)) == closure_half_permutation(
+                n, random.Random(seed)
+            )
 
 
 def test_generator_action_preserves_half_permutations():
