@@ -1,5 +1,5 @@
 """
-Garside combinatorics for positive braids.
+Garside combinatorics for braids.
 
 The simple elements (permutation braids) are identified with permutations
 throughout: the positive lift of x in the symmetric group is the unique
@@ -7,10 +7,13 @@ positive braid of length |x| projecting to x, and these lifts multiply like
 their permutations exactly when lengths add.  On top of that identification
 this module provides
 
-- the left-weighted (greedy) normal form, a complete equality oracle for
-  positive words, and the leftmost factor as its first factor.  Both rest
-  on one step that left-weights a pair of simples in place (also behind
-  ``simple_head``), run on the pairs from the right after each letter,
+- the signed left normal form Delta^p A_1 ... A_k of any word, a complete
+  equality oracle (El-Rifai & Morton, Q. J. Math. 45, 1994), whose
+  [inf, sup] = [p, p + k] is the t-degree span of the LKB image (Krammer,
+  Ann. of Math. 155, 2002); the greedy normal form of a positive word and
+  its leftmost factor are read off it.  All rest on one step that
+  left-weights a pair of simples in place (also behind ``simple_head``),
+  run on the pairs from the right after each letter,
 - the greatest-braid map GB from half-permutations to simples,
 - the induced monoid action of positive words on subsets of Ref, read off
   the t-constant terms of the LKB generator matrices, and
@@ -90,25 +93,56 @@ class NormalForm:
         return word
 
 
-def greedy_normal_form(word: BraidWord) -> NormalForm:
-    """Append each letter as a factor, then left-weight the pairs from the
-    right up to the first pair where nothing moves; only the last factor can
-    become the identity, and it is dropped."""
-    if not word.is_positive:
-        raise ValueError("normal form is defined for positive words only")
+def _signed_normal_form(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Signed left normal form of any word: (p, (A_1, ..., A_k)) with the
+    braid equal to Delta^p A_1 ... A_k, the A_i proper left-weighted simples
+    given by image tuples.  Two words are the same braid iff these agree.
+
+    The word so far is kept as Delta^p A Delta^(-m).  A letter +-e passes
+    Delta^(-m) as e' = e (m even) or n - e (m odd); +e appends the
+    transposition s_e', and -e appends the simple s_e' w0 (sigma_e'^-1 Delta)
+    and counts one more Delta^-1.  After each append the pairs are
+    left-weighted from the right up to the first pair where nothing moves;
+    only the last factor can become the identity (dropped), and only the
+    first can become Delta (moved into p).  At the end
+    Delta^p A Delta^(-m) = Delta^(p-m) tau^m(A), tau(x)(i) = n-1-x(n-1-i).
+    """
     n = word.n
     identity = list(range(n))
+    w0 = identity[::-1]
     factors: list[list[int]] = []
+    p = m = 0
     for e in word.letters:
-        factors.append(identity[: e - 1] + [e, e - 1] + identity[e + 1 :])
-        for p in range(len(factors) - 2, -1, -1):
-            if not _left_weight(factors[p], factors[p + 1]):
+        i = abs(e) if m % 2 == 0 else n - abs(e)
+        simple = identity[:]
+        simple[i - 1], simple[i] = i, i - 1
+        if e < 0:
+            simple.reverse()  # s_e' w0 as an image list
+            m += 1
+        factors.append(simple)
+        for j in range(len(factors) - 2, -1, -1):
+            if not _left_weight(factors[j], factors[j + 1]):
                 break
         if factors[-1] == identity:
             factors.pop()
-    # Built from a list: tuple() of a generator resizes its result, and the
+        if factors and factors[0] == w0:
+            factors.pop(0)
+            p += 1
+    if m % 2:
+        factors = [[n - 1 - f[n - 1 - i] for i in identity] for f in factors]
+    # Built from lists: tuple() of a generator resizes its result, and the
     # resized tuples pile up in CPython's per-size free lists over many calls.
-    return NormalForm(n, tuple([Permutation(tuple(f)) for f in factors]))
+    return p - m, tuple([tuple(f) for f in factors])
+
+
+def greedy_normal_form(word: BraidWord) -> NormalForm:
+    """The signed normal form of a positive word, Delta^p written out as p
+    factors Delta."""
+    if not word.is_positive:
+        raise ValueError("normal form is defined for positive words only")
+    p, factors = _signed_normal_form(word)
+    delta = Permutation.longest(word.n)
+    return NormalForm(word.n, tuple([delta] * p + [Permutation(f) for f in factors]))
 
 
 # -- half-permutations and the greatest braid --------------------------------

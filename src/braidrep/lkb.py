@@ -17,15 +17,18 @@ cases depending on how k sits relative to i and j:
 
 Because the representation is faithful, the image matrix is a complete
 invariant of the braid: triviality, word equality, and the word length with
-respect to the simple elements and their inverses are all decided here by
-exact matrix computations.
+respect to the simple elements and their inverses are all decided here.
 
-Before building an exact image, ``is_trivial`` and ``words_equal`` apply the
-words to one fixed vector with the generators evaluated at a fixed point
-(q, t) modulo the prime P = 2^61 - 1, which costs O(length * nonzeros) and
-builds no matrix.  Evaluation is a ring homomorphism, so a difference there
-proves the answer "no" exactly (cf. J. T. Schwartz, J. ACM 27, 1980); only
-a "yes" is confirmed by comparing exact images.
+``is_trivial`` and ``words_equal`` ask two exact engines and answer only
+when they agree.  The first applies the words to one fixed vector with the
+generators evaluated at a fixed point (q, t) modulo the prime
+P = 2^61 - 1, which costs O(length * nonzeros) and builds no matrix.
+Evaluation is a ring homomorphism, so a difference there proves "no"
+exactly (cf. J. T. Schwartz, J. ACM 27, 1980).  The second is the signed
+Garside normal form Delta^p A_1 ... A_k (``garside``), a complete invariant
+whose equality proves "yes".  Exact LKB images are built only when mod P
+agrees and the normal forms differ; a disagreement that survives them
+raises ``InternalCheckError``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from fractions import Fraction
 
 from .braid import BraidWord, all_permutations, refpairs
 from .errors import InternalCheckError, ResourceGuardError
+from .garside import _signed_normal_form
 from .laurent import LaurentPoly, _accumulate
 from .matrix import RepMatrix, mat_inverse, t_degree_range
 
@@ -181,26 +185,48 @@ def _image_mod_p(word: BraidWord) -> tuple[int, ...]:
     return tuple(v)
 
 
-def is_trivial(word: BraidWord) -> bool:
-    """Whether the word represents the identity braid (faithfulness-based).
+def _two_engines(mod_p_equal: bool, nf_equal: bool, exact_equal) -> bool:
+    """Equality as decided by both exact engines, raised on disagreement.
 
-    A start vector moved mod P proves "no"; "yes" is read off the exact image.
+    Images that differ mod P prove "no"; equal Garside normal forms prove
+    "yes".  When mod P agrees but the normal forms differ (a collision mod P,
+    or a fault), the exact images settle it.
     """
-    if _image_mod_p(word) != _start_vector(lkb_dim(word.n)):
-        return False
-    return lkb_of_word(word).is_identity()
+    if mod_p_equal and not nf_equal:
+        mod_p_equal = exact_equal()
+    if mod_p_equal != nf_equal:
+        raise InternalCheckError("LKB images and Garside normal forms disagree")
+    return nf_equal
+
+
+def is_trivial(word: BraidWord) -> bool:
+    """Whether the word represents the identity braid.
+
+    Two exact engines must agree: a start vector moved mod P proves "no",
+    and the signed Garside normal form (0, ()) proves "yes".  The exact image
+    is built only when mod P agrees and the normal form does not.
+    """
+    return _two_engines(
+        _image_mod_p(word) == _start_vector(lkb_dim(word.n)),
+        _signed_normal_form(word) == (0, ()),
+        lambda: lkb_of_word(word).is_identity(),
+    )
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
     """Whether two words represent the same braid.
 
-    Images that differ mod P prove "no"; "yes" compares the exact images.
+    Images that differ mod P prove "no", and equal signed Garside normal
+    forms prove "yes".  The exact images are built only when mod P agrees
+    and the normal forms do not.
     """
     if a.n != b.n:
         raise ValueError(f"strand count mismatch: {a.n} vs {b.n}")
-    if _image_mod_p(a) != _image_mod_p(b):
-        return False
-    return lkb_of_word(a) == lkb_of_word(b)
+    return _two_engines(
+        _image_mod_p(a) == _image_mod_p(b),
+        _signed_normal_form(a) == _signed_normal_form(b),
+        lambda: lkb_of_word(a) == lkb_of_word(b),
+    )
 
 
 def length_omega(word: BraidWord) -> int:

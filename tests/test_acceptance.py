@@ -18,6 +18,7 @@ from braidrep.bmw import (
 )
 from braidrep.burau import burau_generator, burau_of_word, kernel_word_b6
 from braidrep.garside import (
+    _signed_normal_form,
     all_half_permutations,
     gb,
     gb_oracle,
@@ -258,10 +259,24 @@ def test_criterion_15_signed_equality_by_normal_forms():
     for _ in range(10):
         letters = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(120)]
         word = BraidWord(6, tuple(letters))
-        assert _nf_equal(word, rewritten_equivalent(word, 40, rng))
+        rewrite = rewritten_equivalent(word, 40, rng)
+        assert _nf_equal(word, rewrite)
+        assert _signed_normal_form(word) == _signed_normal_form(rewrite)
         p = rng.randrange(len(letters))
         letters[p] = -letters[p]
         flip = BraidWord(6, tuple(letters))
         assert not _nf_equal(word, flip)
+        assert _signed_normal_form(word) != _signed_normal_form(flip)
         assert not words_equal(word, flip)
     report("criterion 15: signed n=6 L=120 words equal to rewrites, unequal to flips, by normal forms", started, 10.0)
+
+
+def test_criterion_16_long_word_accepted_by_normal_form():
+    started = time.monotonic()
+    rng = random.Random(1016)
+    word = BraidWord(9, tuple(rng.choice((1, -1)) * rng.randint(1, 8) for _ in range(400)))
+    assert is_trivial(word * word.inverse())
+    rewrite = rewritten_equivalent(word, 100, rng)
+    assert rewrite != word
+    assert words_equal(word, rewrite)
+    report("criterion 16: n=9 L=400 word: w w^-1 trivial and equal to a rewrite, by both engines", started, 5.0)

@@ -6,6 +6,7 @@ import pytest
 from braidrep.braid import BraidWord, Permutation, all_permutations, refpairs
 from braidrep.garside import (
     NormalForm,
+    _signed_normal_form,
     all_half_permutations,
     gb,
     gb_oracle,
@@ -20,7 +21,8 @@ from braidrep.garside import (
     random_half_permutation,
     simple_head,
 )
-from braidrep.lkb import lkb_of_word
+from braidrep.lkb import _image_mod_p, length_omega, lkb_of_word
+from braidrep.matrix import t_degree_range
 from braidrep.verify import random_positive_word, random_word, rewritten_equivalent
 
 
@@ -224,6 +226,67 @@ def test_normal_form_is_equality_oracle():
             nf_equal = greedy_normal_form(u) == greedy_normal_form(v)
             lkb_equal = lkb_of_word(u) == lkb_of_word(v)
             assert nf_equal == lkb_equal
+
+
+def _signed_words(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        yield random_word(n, 16, rng), rng
+
+
+def _as_word(n, p, factors):
+    delta = Permutation.longest(n).reduced_word()
+    word = BraidWord(n)
+    for _ in range(abs(p)):
+        word = word * (delta if p > 0 else delta.inverse())
+    for f in factors:
+        word = word * Permutation(f).reduced_word()
+    return word
+
+
+def test_signed_normal_form_against_lkb():
+    # Krammer: [inf, sup] = [p, p + k] is the t-degree span of the LKB image
+    for w, _ in _signed_words(60, 300):
+        n = w.n
+        p, factors = _signed_normal_form(w)
+        image = lkb_of_word(w)
+        assert t_degree_range(image) == (p, p + len(factors)), (n, w.letters)
+        assert max(len(factors), p + len(factors), -p) == length_omega(w)
+        # the factors multiply back to the braid (checked mod P: the exact
+        # image of Delta^p costs |p| n(n-1)/2 letters)
+        assert _image_mod_p(_as_word(n, p, factors)) == _image_mod_p(w)
+        proper = [Permutation(f) for f in factors]
+        assert all(not f.is_identity() and f != Permutation.longest(n) for f in proper)
+        for a, b in zip(proper, proper[1:]):
+            assert not (b.left_descents() - a.right_descents())
+        assert _signed_normal_form(w * w.inverse()) == (0, ())
+        assert _signed_normal_form(w.inverse() * w) == (0, ())
+
+
+def test_signed_normal_form_is_equality_oracle():
+    for w, rng in _signed_words(61, 300):
+        image = lkb_of_word(w)
+        v = rewritten_equivalent(w, 8, rng)
+        assert (_signed_normal_form(v) == _signed_normal_form(w)) == (lkb_of_word(v) == image)
+        if w.letters:
+            letters = list(w.letters)
+            i = rng.randrange(len(letters))
+            letters[i] = -letters[i]
+            flip = BraidWord(w.n, tuple(letters))
+            assert (_signed_normal_form(flip) == _signed_normal_form(w)) == (lkb_of_word(flip) == image)
+
+
+def test_signed_normal_form_examples():
+    # in B3, sigma_1^-1 = Delta^-1 (Delta sigma_1^-1) = Delta^-1 sigma_1 sigma_2
+    assert Permutation((1, 2, 0)).reduced_word() == BraidWord(3, (1, 2))
+    assert _signed_normal_form(BraidWord(3, (-1,))) == (-1, ((1, 2, 0),))
+    # Delta sigma_2^-1 = sigma_2 sigma_1
+    assert Permutation((2, 0, 1)).reduced_word() == BraidWord(3, (2, 1))
+    assert _signed_normal_form(BraidWord(3, (1, 2, 1, -2))) == (0, ((2, 0, 1),))
+    assert _signed_normal_form(BraidWord(3, (-1, -2, -1))) == (-1, ())
+    assert _signed_normal_form(BraidWord(4, (1, 2, 1, 3, 2, 1) * 3 + (2,))) == (3, (s(4, 2).image,))
+    assert _signed_normal_form(BraidWord(1)) == (0, ())
 
 
 def test_half_permutation_predicate():

@@ -1,11 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from braidrep import lkb
+from braidrep import cli, lkb
 from braidrep.braid import BraidWord, Permutation, refpairs
-from braidrep.errors import ResourceGuardError
+from braidrep.errors import InternalCheckError, ResourceGuardError
 from braidrep.garside import positive_action, random_half_permutation
 from braidrep.laurent import LaurentPoly
 from braidrep.lkb import (
@@ -168,8 +169,57 @@ def test_certificate_answers_no_without_exact_images(monkeypatch):
     flipped = BraidWord(6, (1, -2, 3, -3, -4, 5, 2, -1))
     assert not is_trivial(word)
     assert not words_equal(word, flipped)
-    with pytest.raises(ExactImageBuilt):
-        is_trivial(BraidWord(6, (1, -1)))
+    # "yes" comes from the signed normal form, also without exact images
+    assert is_trivial(BraidWord(2, (1, -1)))
+    rng = random.Random(57)
+    w = BraidWord(6, tuple(rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(40)))
+    assert is_trivial(w * w.inverse())
+    assert words_equal(w, rewritten_equivalent(w, 20, rng))
+
+
+def _cli(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+DISAGREE = "internal check failed: LKB images and Garside normal forms disagree\n"
+
+
+def test_garside_yes_against_mod_p_no_raises(monkeypatch, capsys):
+    monkeypatch.setattr(lkb, "_signed_normal_form", lambda word: (0, ()))
+    word = BraidWord(4, (1, 2, -3))
+    with pytest.raises(InternalCheckError):
+        is_trivial(word)
+    with pytest.raises(InternalCheckError):
+        words_equal(word, BraidWord(4, (1, 2, 3)))
+    assert _cli(capsys, "trivial", "--n", "4", "--word", "1,2,-3") == (4, "", DISAGREE)
+    assert _cli(capsys, "equal", "--n", "4", "--w1", "1,2,-3", "--w2", "1,2,3") == (4, "", DISAGREE)
+
+
+def test_exact_yes_against_garside_no_raises(monkeypatch, capsys):
+    counter = itertools.count(1)
+    monkeypatch.setattr(lkb, "_signed_normal_form", lambda word: (next(counter), ()))
+    with pytest.raises(InternalCheckError):
+        is_trivial(BraidWord(3, (1, 2, -2, -1)))
+    with pytest.raises(InternalCheckError):
+        words_equal(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
+    assert _cli(capsys, "trivial", "--n", "3", "--word", "1,-1") == (4, "", DISAGREE)
+    assert _cli(capsys, "equal", "--n", "3", "--w1", "1,2,1", "--w2", "2,1,2") == (4, "", DISAGREE)
+
+
+def test_mod_p_collision_is_settled_by_exact_images(monkeypatch):
+    # every word collides mod P; the normal forms differ, the exact images decide
+    monkeypatch.setattr(lkb, "_image_mod_p", lambda word: lkb._start_vector(lkb_dim(word.n)))
+    built = []
+    real = lkb.lkb_of_word
+    monkeypatch.setattr(lkb, "lkb_of_word", lambda word: built.append(word) or real(word))
+    assert not is_trivial(BraidWord(3, (1, 2)))
+    assert not words_equal(BraidWord(3, (1,)), BraidWord(3, (2,)))
+    assert len(built) == 3
+    assert is_trivial(BraidWord(3, (1, -1)))
+    assert words_equal(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
+    assert len(built) == 3
 
 
 def test_generator_tables_mod_p_are_inverse():
