@@ -103,15 +103,24 @@ class YoungDiagram:
         return cls(rows)
 
 
-def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    if total == 0:
-        yield ()
-        return
-    if max_part is None or max_part > total:
-        max_part = total
-    for first in range(max_part, 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
+def _partitions(total: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of total, weakly decreasing, in descending lexicographic order.
+
+    The next partition drops the trailing 1s, lowers the last larger part by
+    one and refills the remainder with parts no larger than it.
+    """
+    parts = [total] if total else []
+    while True:
+        yield tuple(parts)
+        ones = parts.count(1)
+        del parts[len(parts) - ones :]
+        if not parts:
+            return
+        parts[-1] -= 1
+        full, rest = divmod(ones + 1, parts[-1])
+        parts += [parts[-1]] * full
+        if rest:
+            parts.append(rest)
 
 
 def level_diagrams(n: int) -> list[YoungDiagram]:

@@ -122,7 +122,7 @@ class Permutation:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.image[v] for v in other.image))
+        return Permutation(tuple([self.image[v] for v in other.image]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n

@@ -22,18 +22,31 @@ from fractions import Fraction
 from .braid import BraidWord, Permutation
 from .errors import InternalCheckError
 from .laurent import LaurentPoly
-from .matrix import RepMatrix, mat_inverse, solve
+from .matrix import RepMatrix, solve
+
+
+# The Hecke relation (s - 1)(s + t) = 0 gives s^-1 = u s + v with these (u, v).
+_HECKE_INVERSE = (LaurentPoly.monomial(1, 0, -1), LaurentPoly({(0, 0): 1, (0, -1): -1}))
 
 
 @functools.lru_cache(maxsize=None)
 def burau_generator(n: int, i: int, sign: int = 1) -> RepMatrix:
-    """Matrix of the i-th generator (sign=+1) or its inverse (sign=-1)."""
+    """Matrix of the i-th generator (sign=+1) or its inverse (sign=-1).
+
+    The inverse is t^-1 s + (1 - t^-1) I from the Hecke relation, with no
+    elimination, and is checked by the product s * s^-1 = I.
+    """
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if sign == -1:
-        return mat_inverse(burau_generator(n, i, 1))
+        sigma = burau_generator(n, i, 1)
+        u, v = _HECKE_INVERSE
+        inverse = sigma.scale(u) + RepMatrix.scalar(n, v)
+        if not (sigma * inverse).is_identity():
+            raise InternalCheckError("Burau inverse table fails sigma * sigma^-1 = I")
+        return inverse
     t = LaurentPoly.var_t()
     rows = [
         [LaurentPoly.const(1 if r == c else 0) for c in range(n)] for r in range(n)

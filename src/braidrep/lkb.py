@@ -36,13 +36,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+from collections import defaultdict
 from fractions import Fraction
 
 from .braid import BraidWord, all_permutations, refpairs
 from .errors import InternalCheckError, ResourceGuardError
 from .garside import _signed_normal_form
-from .laurent import LaurentPoly, _accumulate
-from .matrix import RepMatrix, mat_inverse, t_degree_range
+from .laurent import LaurentPoly, _accumulate, _add_product, _collected
+from .matrix import RepMatrix, t_degree_range
 
 
 def lkb_dim(n: int) -> int:
@@ -76,26 +77,74 @@ def _generator_column(n: int, k: int, i: int, j: int):
     raise AssertionError(f"unreachable case k={k}, i={i}, j={j}")
 
 
+# sigma_k has eigenvalues 1, -q and t q^2, so (s - 1)(s + q)(s - t q^2) = 0
+# and s^-1 = u (s^2 + a s + b) with these (u, a, b).
+_INVERSE_RELATION = (
+    LaurentPoly.monomial(-1, -3, -1),
+    LaurentPoly({(1, 0): 1, (0, 0): -1, (2, 1): -1}),
+    LaurentPoly({(2, 1): 1, (1, 0): -1, (3, 1): -1}),
+)
+
+
+def _apply(columns, vector) -> defaultdict[int, dict]:
+    """The sparse columns applied to a sparse vector of (coefficient, index) terms.
+
+    Returns, per target index, an accumulator of term products.
+    """
+    acc: defaultdict[int, dict] = defaultdict(dict)
+    for c, r in vector:
+        for c2, r2 in columns[r]:
+            _add_product(acc[r2], c, c2)
+    return acc
+
+
+def _inverse_columns(columns) -> list:
+    """The columns of s^-1 = u (s^2 + a s + b) for the columns of s.
+
+    Each column of s has at most 2 terms, so s^2 x has at most 4 and the
+    inverse column at most 3.  Raises when s * s^-1 is not the identity.
+    """
+    u, a, b = _INVERSE_RELATION
+    ua, ub = u * a, u * b
+    inverse = []
+    for j, col in enumerate(columns):
+        acc = _apply(columns, [(u * c, r) for c, r in col])
+        for c, r in col:
+            _add_product(acc[r], c, ua)
+        _add_product(acc[j], ub, LaurentPoly.one())
+        inverse.append([(e, r) for r, terms in acc.items() if (e := _collected(terms))])
+    for j, col in enumerate(inverse):
+        product = {r: e for r, terms in _apply(columns, col).items() if (e := _collected(terms))}
+        if product != {j: LaurentPoly.one()}:
+            raise InternalCheckError("LKB inverse table fails sigma * sigma^-1 = I")
+    return inverse
+
+
 @functools.lru_cache(maxsize=None)
 def lkb_generator(n: int, k: int, sign: int = 1) -> RepMatrix:
     """Matrix of sigma_k^(+-1) in the x basis, columns indexed lexicographically.
 
-    The inverse is obtained by symbolic inversion of the positive matrix;
-    the product check inside ``mat_inverse`` guards the generator table.
+    The inverse is built column by column from the cubic relation
+    (s - 1)(s + q)(s - t q^2) = 0, with no elimination, and checked by the
+    product s * s^-1 = I.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} out of range for n={n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if sign == -1:
-        return mat_inverse(lkb_generator(n, k, 1))
     index = _pair_index(n)
+    columns = [
+        [(coeff, index[target]) for coeff, target in _generator_column(n, k, i, j)]
+        for i, j in index
+    ]
+    if sign == -1:
+        columns = _inverse_columns(columns)
     dim = lkb_dim(n)
     zero = LaurentPoly.zero()
     rows = [[zero] * dim for _ in range(dim)]
-    for (i, j), col in index.items():
-        for coeff, target in _generator_column(n, k, i, j):
-            rows[index[target]][col] = rows[index[target]][col] + coeff
+    for col, terms in enumerate(columns):
+        for coeff, r in terms:
+            rows[r][col] = coeff
     return RepMatrix.from_rows(rows)
 
 

@@ -11,7 +11,9 @@ stays inside the Laurent ring, dividing only exactly; the determinant is read
 off it, and solving and inversion divide its right block exactly by the final
 pivot.  Entries of a solution are required to be genuine Laurent
 polynomials, and an inverse is checked against the identity before
-returning, so a wrong generator table cannot silently produce a wrong inverse.
+returning.  The generator tables do not use it: their inverses come in
+closed form from the generators' characteristic relations (``lkb``,
+``burau``), and the tests use ``mat_inverse`` as their oracle.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def _eliminate(
 
     Returns (p, sign, right block); p is zero and the right block empty when
     lhs is singular.  Entries known to stay zero or to be unchanged are
-    skipped, which keeps cold generator inversion fast.
+    skipped.
     """
     d = lhs.dim
     rows = [list(a + b) for a, b in zip(lhs.entries, rhs_rows)]
