@@ -6,7 +6,7 @@ Exit codes are a stable contract:
     0  success (or: the queried predicate is true)
     1  the queried predicate is false
     2  usage error (malformed word, bad arguments)
-    3  resource guard triggered (n / radius beyond desk scale)
+    3  resource guard triggered (n / radius / exact-image word beyond desk scale)
     4  internal assertion failed (a checked identity was violated)
     5  unexpected error (a bug: one line on stderr, no traceback)
 

@@ -11,9 +11,14 @@ this module provides
   equality oracle (El-Rifai & Morton, Q. J. Math. 45, 1994), whose
   [inf, sup] = [p, p + k] is the t-degree span of the LKB image (Krammer,
   Ann. of Math. 155, 2002); the greedy normal form of a positive word and
-  its leftmost factor are read off it.  All rest on one step that
-  left-weights a pair of simples in place (also behind ``simple_head``),
-  run on the pairs from the right after each letter,
+  its leftmost factor are read off it.  Each letter meets the last factor
+  in one of four cases: an inverse letter on a right descent cancels in
+  place, a positive letter on a right ascent is absorbed in place, a
+  positive letter on a right descent is appended as a new factor, and
+  otherwise a factor is appended (s_i w0 and one more Delta^-1 for an
+  inverse letter).  After an absorb or that last append, one step that
+  left-weights a pair of simples in place (also behind ``simple_head``)
+  runs on the pairs from the right,
 - the greatest-braid map GB from half-permutations to simples,
 - the induced monoid action of positive words on subsets of Ref, read off
   the t-constant terms of the LKB generator matrices, and
@@ -37,15 +42,22 @@ def _left_weight(u: list[int], v: list[int]) -> bool:
 
     While generator i is an ascent of u (positions i, i+1) and a left descent
     of v (value i sits after value i+1), it moves from the front of v to the
-    back of u.  Returns whether anything moved.
+    back of u.  The position of each value in v is kept in an inverse list,
+    updated on every move.  Returns whether anything moved.
     """
+    where = [0] * len(v)
+    for x, y in enumerate(v):
+        where[y] = x
     moved = False
-    i = 0
-    while i < len(u) - 1:
-        if u[i] < u[i + 1] and (a := v.index(i)) > (b := v.index(i + 1)):
+    i, end = 0, len(u) - 1
+    while i < end:
+        if u[i] < u[i + 1] and (a := where[i]) > (b := where[i + 1]):
             u[i], u[i + 1] = u[i + 1], u[i]
             v[a], v[b] = i + 1, i
-            moved, i = True, max(i - 1, 0)
+            where[i], where[i + 1] = b, a
+            moved = True
+            if i:
+                i -= 1
         else:
             i += 1
     return moved
@@ -98,13 +110,24 @@ def _signed_normal_form(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ..
     braid equal to Delta^p A_1 ... A_k, the A_i proper left-weighted simples
     given by image tuples.  Two words are the same braid iff these agree.
 
-    The word so far is kept as Delta^p A Delta^(-m).  A letter +-e passes
-    Delta^(-m) as e' = e (m even) or n - e (m odd); +e appends the
-    transposition s_e', and -e appends the simple s_e' w0 (sigma_e'^-1 Delta)
-    and counts one more Delta^-1.  After each append the pairs are
-    left-weighted from the right up to the first pair where nothing moves;
-    only the last factor can become the identity (dropped), and only the
-    first can become Delta (moved into p).  At the end
+    The word so far is kept as Delta^p A_1 ... A_k Delta^(-m).  A letter +-e
+    passes Delta^(-m) as s_i, i = e (m even) or n - e (m odd), and meets the
+    last factor A_k in one of four cases:
+
+    - -e, i a right descent of A_k: A_k = B s_i, so A_k becomes B in place
+      and is dropped if that is the identity.  B left-divides A_k, so its
+      starting set lies in A_k's and the sequence stays left-weighted.
+    - +e, i a right ascent of A_k: A_k absorbs s_i in place.
+    - +e, i a right descent of A_k: s_i is appended as a new factor;
+      (A_k, s_i) is left-weighted already.
+    - otherwise (-e on an ascent, or no factor yet): +e appends s_i, and -e
+      appends the simple s_i w0 (sigma_i^-1 Delta) and counts one more
+      Delta^-1.
+
+    After an absorbed or appended simple the pairs are left-weighted from
+    the last one leftwards, up to the first pair where nothing moves; only
+    the last factor can become the identity (dropped), and only the first
+    can become Delta (moved into p).  At the end
     Delta^p A Delta^(-m) = Delta^(p-m) tau^m(A), tau(x)(i) = n-1-x(n-1-i).
     """
     n = word.n
@@ -114,12 +137,22 @@ def _signed_normal_form(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ..
     p = m = 0
     for e in word.letters:
         i = abs(e) if m % 2 == 0 else n - abs(e)
-        simple = identity[:]
-        simple[i - 1], simple[i] = i, i - 1
-        if e < 0:
-            simple.reverse()  # s_e' w0 as an image list
-            m += 1
-        factors.append(simple)
+        last = factors[-1] if factors else None
+        if last is not None and (last[i - 1] > last[i]) == (e < 0):
+            last[i - 1], last[i] = last[i], last[i - 1]
+            if e < 0:
+                if last == identity:
+                    factors.pop()
+                continue
+        else:
+            simple = identity[:]
+            simple[i - 1], simple[i] = i, i - 1
+            if e < 0:
+                simple.reverse()  # s_i w0 as an image list
+                m += 1
+            factors.append(simple)
+            if e > 0 and last is not None:
+                continue
         for j in range(len(factors) - 2, -1, -1):
             if not _left_weight(factors[j], factors[j + 1]):
                 break

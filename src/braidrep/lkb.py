@@ -27,8 +27,9 @@ Evaluation is a ring homomorphism, so a difference there proves "no"
 exactly (cf. J. T. Schwartz, J. ACM 27, 1980).  The second is the signed
 Garside normal form Delta^p A_1 ... A_k (``garside``), a complete invariant
 whose equality proves "yes".  Exact LKB images are built only when mod P
-agrees and the normal forms differ; a disagreement that survives them
-raises ``InternalCheckError``.
+agrees and the normal forms differ, and only for words of at most
+BRAIDREP_MAX_EXACT_LETTERS letters (``ResourceGuardError`` beyond); a
+disagreement that survives them raises ``InternalCheckError``.
 """
 
 from __future__ import annotations
@@ -229,20 +230,41 @@ def _image_mod_p(word: BraidWord) -> tuple[int, ...]:
     for e in reversed(word.letters):
         w = list(v)
         for r, row in _generator_mod_p(word.n, abs(e), 1 if e > 0 else -1):
-            w[r] = sum(x * v[c] for c, x in row) % _P
+            acc = 0
+            for c, x in row:
+                acc += x * v[c]
+            w[r] = acc % _P
         v = w
     return tuple(v)
 
 
-def _two_engines(mod_p_equal: bool, nf_equal: bool, exact_equal) -> bool:
+def _env_cap(name: str, default: int) -> int:
+    value = os.environ.get(name)
+    return int(value) if value else default
+
+
+_MAX_EXACT_ENV = "BRAIDREP_MAX_EXACT_LETTERS"
+_DEFAULT_MAX_EXACT = 100
+
+
+def _two_engines(mod_p_equal: bool, nf_equal: bool, words, exact_equal) -> bool:
     """Equality as decided by both exact engines, raised on disagreement.
 
     Images that differ mod P prove "no"; equal Garside normal forms prove
     "yes".  When mod P agrees but the normal forms differ (a collision mod P,
-    or a fault), the exact images settle it.
+    or a fault), exact_equal of the words' exact images settles it.  Those
+    are built only for words of at most BRAIDREP_MAX_EXACT_LETTERS letters
+    (default 100); a longer word raises ResourceGuardError.
     """
     if mod_p_equal and not nf_equal:
-        mod_p_equal = exact_equal()
+        cap = _env_cap(_MAX_EXACT_ENV, _DEFAULT_MAX_EXACT)
+        longest = max(len(w) for w in words)
+        if longest > cap:
+            raise ResourceGuardError(
+                f"exact LKB image of a {longest}-letter word exceeds {cap} letters"
+                f" (set {_MAX_EXACT_ENV} to raise)"
+            )
+        mod_p_equal = exact_equal(*[lkb_of_word(w) for w in words])
     if mod_p_equal != nf_equal:
         raise InternalCheckError("LKB images and Garside normal forms disagree")
     return nf_equal
@@ -258,7 +280,8 @@ def is_trivial(word: BraidWord) -> bool:
     return _two_engines(
         _image_mod_p(word) == _start_vector(lkb_dim(word.n)),
         _signed_normal_form(word) == (0, ()),
-        lambda: lkb_of_word(word).is_identity(),
+        (word,),
+        RepMatrix.is_identity,
     )
 
 
@@ -274,7 +297,8 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
     return _two_engines(
         _image_mod_p(a) == _image_mod_p(b),
         _signed_normal_form(a) == _signed_normal_form(b),
-        lambda: lkb_of_word(a) == lkb_of_word(b),
+        (a, b),
+        RepMatrix.__eq__,
     )
 
 
@@ -308,11 +332,6 @@ _MAX_BALL_ENV = "BRAIDREP_MAX_BALL"
 _DEFAULT_MAX_BALL = 200_000
 
 
-def _ball_cap() -> int:
-    value = os.environ.get(_MAX_BALL_ENV)
-    return int(value) if value else _DEFAULT_MAX_BALL
-
-
 def omega_ball_oracle(
     n: int, radius: int
 ) -> dict[RepMatrix, tuple[int, BraidWord]]:
@@ -327,7 +346,7 @@ def omega_ball_oracle(
         raise ResourceGuardError(f"omega ball for n={n}, radius={radius} exceeds desk scale")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    cap = _ball_cap()
+    cap = _env_cap(_MAX_BALL_ENV, _DEFAULT_MAX_BALL)
     generators: list[tuple[RepMatrix, BraidWord]] = []
     for x in all_permutations(n):
         if x.is_identity():

@@ -6,6 +6,7 @@ import pytest
 from braidrep.braid import BraidWord, Permutation, all_permutations, refpairs
 from braidrep.garside import (
     NormalForm,
+    _left_weight,
     _signed_normal_form,
     all_half_permutations,
     gb,
@@ -55,24 +56,65 @@ def brute_force_lf(word: BraidWord) -> Permutation:
     return best
 
 
-def bubble_normal_form(word: BraidWord) -> tuple[Permutation, ...]:
-    """Reference: sweep all adjacent factor pairs until a sweep changes
-    nothing, left-weighting each pair by transferring the smallest eligible
-    generator one at a time on Permutation objects."""
-    n = word.n
-    factors = [Permutation.transposition(n, e) for e in word.letters]
+def transfer(u: Permutation, v: Permutation) -> tuple[Permutation, Permutation]:
+    """Reference pair step: move the smallest generator that extends u on the
+    right and starts v, one at a time, on Permutation objects."""
+    while eligible := v.left_descents() - u.right_descents():
+        s = Permutation.transposition(u.n, min(eligible))
+        u, v = u * s, s * v
+    return u, v
+
+
+def bubble_sweep(factors) -> list[Permutation]:
+    """Apply ``transfer`` to all adjacent factor pairs until a sweep changes
+    nothing."""
+    factors = list(factors)
     changed = True
     while changed:
         changed = False
         for p in range(len(factors) - 1):
-            u, v = factors[p], factors[p + 1]
-            while eligible := v.left_descents() - u.right_descents():
-                s = Permutation.transposition(n, min(eligible))
-                u, v = u * s, s * v
+            u, v = transfer(factors[p], factors[p + 1])
             if u != factors[p]:
                 factors[p], factors[p + 1] = u, v
                 changed = True
+    return factors
+
+
+def bubble_normal_form(word: BraidWord) -> tuple[Permutation, ...]:
+    """Reference: one transposition per letter, swept by ``bubble_sweep``."""
+    factors = bubble_sweep(Permutation.transposition(word.n, e) for e in word.letters)
     return tuple(f for f in factors if not f.is_identity())
+
+
+def reference_signed_normal_form(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Reference: one factor per letter, swept by ``bubble_sweep``.
+
+    sigma^-1 = (sigma^-1 Delta) Delta^-1, and Delta^-1 sigma_e = sigma_(n-e)
+    Delta^-1, so with m such Delta^-1 counted so far a letter +-e reads index
+    e' = e (m even) or n - e (m odd) and appends s_e' (positive) or s_e' w0
+    (inverse).  The sweep brings the factors Delta to the front and the
+    identities to the back; Delta^p A Delta^-m = Delta^(p-m) (w0^m A w0^m).
+    """
+    n = word.n
+    w0 = Permutation.longest(n)
+    factors = []
+    m = 0
+    for e in word.letters:
+        s = Permutation.transposition(n, abs(e) if m % 2 == 0 else n - abs(e))
+        if e < 0:
+            factors.append(s * w0)
+            m += 1
+        else:
+            factors.append(s)
+    factors = bubble_sweep(factors)
+    p = 0
+    while p < len(factors) and factors[p] == w0:
+        p += 1
+    rest = [f for f in factors[p:] if not f.is_identity()]
+    assert w0 not in rest
+    if m % 2:
+        rest = [w0 * f * w0 for f in rest]
+    return p - m, tuple(f.image for f in rest)
 
 
 def closure_half_permutation(n: int, rng: random.Random) -> frozenset[tuple[int, int]]:
@@ -287,6 +329,68 @@ def test_signed_normal_form_examples():
     assert _signed_normal_form(BraidWord(3, (-1, -2, -1))) == (-1, ())
     assert _signed_normal_form(BraidWord(4, (1, 2, 1, 3, 2, 1) * 3 + (2,))) == (3, (s(4, 2).image,))
     assert _signed_normal_form(BraidWord(1)) == (0, ())
+
+
+def _reference_words(seed):
+    """Seeded signed words for the reference comparison, cancellation-heavy
+    families included; n = 2 has s_1 = Delta."""
+    rng = random.Random(seed)
+
+    def word(n, length):
+        return BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)))
+
+    for _ in range(1200):
+        n = rng.randint(1, 9)
+        yield word(n, rng.randint(0, 14) if n > 1 else 0)
+    for _ in range(150):
+        w = word(rng.randint(2, 9), rng.randint(0, 8))
+        yield w * w.inverse()
+        yield w.inverse() * w
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        letters = ()
+        for _ in range(rng.randint(1, 4)):
+            letters += (rng.choice((1, -1)) * rng.randint(1, n - 1),) * rng.randint(1, 5)
+        yield BraidWord(n, letters)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        delta = Permutation.longest(n).reduced_word()
+        power = BraidWord(n)
+        for _ in range(rng.randint(1, 2)):
+            power = power * (delta if rng.random() < 0.5 else delta.inverse())
+        w = word(n, rng.randint(0, 8))
+        yield power * w if rng.random() < 0.5 else w * power
+    for _ in range(100):
+        yield word(2, rng.randint(0, 20))
+
+
+def test_signed_normal_form_matches_reference():
+    count = 0
+    for w in _reference_words(44):
+        assert _signed_normal_form(w) == reference_signed_normal_form(w), (w.n, w.letters)
+        count += 1
+    assert count >= 2000
+
+
+def _check_left_weight(u: Permutation, v: Permutation):
+    head, rest = list(u.image), list(v.image)
+    moved = _left_weight(head, rest)
+    expected = transfer(u, v)
+    assert (Permutation(tuple(head)), Permutation(tuple(rest))) == expected, (u, v)
+    assert moved == (expected[0] != u)
+
+
+def test_left_weight_matches_transfer():
+    for n in (1, 2, 3, 4):
+        perms = list(all_permutations(n))
+        for u in perms:
+            for v in perms:
+                _check_left_weight(u, v)
+    rng = random.Random(46)
+    for n in (7, 9):
+        for _ in range(300):
+            u, v = (Permutation(tuple(rng.sample(range(n), n))) for _ in range(2))
+            _check_left_weight(u, v)
 
 
 def test_half_permutation_predicate():

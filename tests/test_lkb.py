@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,43 @@ def test_mod_p_collision_is_settled_by_exact_images(monkeypatch):
     assert is_trivial(BraidWord(3, (1, -1)))
     assert words_equal(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
     assert len(built) == 3
+
+
+def test_exact_fallback_is_guarded(monkeypatch, capsys):
+    # a collision mod P and normal forms that differ send every word to the
+    # exact images; criterion 16's n = 9 word times its inverse is refused
+    rng = random.Random(1016)
+    word = BraidWord(9, tuple(rng.choice((1, -1)) * rng.randint(1, 8) for _ in range(400)))
+    counter = itertools.count(1)
+    monkeypatch.setattr(lkb, "_image_mod_p", lambda w: lkb._start_vector(lkb_dim(w.n)))
+    monkeypatch.setattr(lkb, "_signed_normal_form", lambda w: (next(counter), ()))
+    started = time.monotonic()
+    code, out, err = _cli(capsys, "trivial", "--n", "9", f"--word={(word * word.inverse()).to_text()}")
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("resource guard: ")
+    assert "BRAIDREP_MAX_EXACT_LETTERS" in err
+    with pytest.raises(ResourceGuardError):
+        words_equal(BraidWord(9, (1,)), word)
+    # below the cap the exact images still answer
+    assert not is_trivial(BraidWord(3, (1, 2)))
+    monkeypatch.setenv("BRAIDREP_MAX_EXACT_LETTERS", "2")
+    assert not words_equal(BraidWord(3, (1, 2)), BraidWord(3, (2, 1)))
+    with pytest.raises(ResourceGuardError):
+        is_trivial(BraidWord(3, (1, 2, 1)))
+    with pytest.raises(ResourceGuardError):
+        words_equal(BraidWord(3, (1,)), BraidWord(3, (2, 1, 2)))
+
+
+def test_image_mod_p_matches_exact_image():
+    rng = random.Random(58)
+    for n in range(2, 8):
+        start = lkb._start_vector(lkb_dim(n))
+        for _ in range(8):
+            w = random_word(n, 8, rng)
+            rows = [[lkb._mod_p(e) for e in row] for row in lkb_of_word(w).entries]
+            expected = tuple(sum(x * y for x, y in zip(row, start)) % lkb._P for row in rows)
+            assert lkb._image_mod_p(w) == expected, (n, w.letters)
 
 
 def test_generator_tables_mod_p_are_inverse():
