@@ -13,8 +13,20 @@ up inversion sets are 1-based throughout, matching the generator numbering.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from typing import Iterable, Iterator
+
+
+_INT_TYPES = frozenset((int, bool))
+
+
+@functools.lru_cache(maxsize=64)
+def _fast_letters(n) -> frozenset[int]:
+    """The letters e with 1 <= |e| <= min(n - 1, 64): a set test at C speed
+    that accepts most words, before the per-letter loop that explains a
+    rejection."""
+    return frozenset(e for e in range(-64, 65) if e and abs(e) <= n - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -27,7 +39,10 @@ class BraidWord:
             raise ValueError("strand count must be at least 1")
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
-        for e in self.letters:
+        letters = self.letters
+        if _INT_TYPES.issuperset(map(type, letters)) and _fast_letters(self.n).issuperset(letters):
+            return
+        for e in letters:
             if not isinstance(e, int):
                 raise ValueError(f"letter {e!r} is not an integer")
             if e == 0 or abs(e) > self.n - 1:
@@ -167,19 +182,23 @@ class Permutation:
         """Canonical positive word projecting to this permutation.
 
         Repeatedly strips the smallest right descent, so the output is
-        deterministic and its length equals the inversion count.
+        deterministic and its length equals the inversion count.  One
+        forward scan finds them: a swap at i leaves no descent left of i - 1,
+        so the scan steps back one position instead of starting over.
         """
         image = list(self.image)
         collected: list[int] = []
-        while True:
-            i = next(
-                (k for k in range(len(image) - 1) if image[k] > image[k + 1]), None
-            )
-            if i is None:
-                break
-            collected.append(i + 1)
-            image[i], image[i + 1] = image[i + 1], image[i]
-        return BraidWord(self.n, tuple(reversed(collected)))
+        i, end = 0, len(image) - 1
+        while i < end:
+            if image[i] > image[i + 1]:
+                collected.append(i + 1)
+                image[i], image[i + 1] = image[i + 1], image[i]
+                if i:
+                    i -= 1
+            else:
+                i += 1
+        collected.reverse()
+        return BraidWord(self.n, tuple(collected))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -27,6 +27,7 @@ from .burau import burau_of_word
 from .errors import InternalCheckError, ResourceGuardError
 from .garside import greedy_normal_form
 from .lkb import (
+    _guard_exact_images,
     is_trivial,
     length_omega,
     lkb_of_word,
@@ -63,6 +64,7 @@ def _cmd_matrix(args) -> int:
     if args.rep == "burau":
         _print_matrix(burau_of_word(word), args.format, "strand")
     else:
+        _guard_exact_images(word)
         _print_matrix(lkb_of_word(word), args.format, "lex-refpair")
     return 0
 

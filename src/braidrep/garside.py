@@ -16,7 +16,8 @@ this module provides
   place, a positive letter on a right ascent is absorbed in place, a
   positive letter on a right descent is appended as a new factor, and
   otherwise a factor is appended (s_i w0 and one more Delta^-1 for an
-  inverse letter).  After an absorb or that last append, one step that
+  inverse letter).  After that last append, and after an absorb that gives
+  A_k a starting generator which A_(k-1) can take, one step that
   left-weights a pair of simples in place (also behind ``simple_head``)
   runs on the pairs from the right,
 - the greatest-braid map GB from half-permutations to simples,
@@ -99,10 +100,10 @@ class NormalForm:
         return not self.factors
 
     def to_word(self) -> BraidWord:
-        word = BraidWord(self.n)
+        letters: list[int] = []
         for f in self.factors:
-            word = word * f.reduced_word()
-        return word
+            letters.extend(f.reduced_word().letters)
+        return BraidWord(self.n, tuple(letters))
 
 
 def _signed_normal_form(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -117,17 +118,23 @@ def _signed_normal_form(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ..
     - -e, i a right descent of A_k: A_k = B s_i, so A_k becomes B in place
       and is dropped if that is the identity.  B left-divides A_k, so its
       starting set lies in A_k's and the sequence stays left-weighted.
-    - +e, i a right ascent of A_k: A_k absorbs s_i in place.
+    - +e, i a right ascent of A_k: A_k absorbs s_i in place.  With a < b the
+      (0-based) values it swaps, A_k gains the one inversion (a, b), so it
+      gains a starting generator only when b = a + 1, and that generator
+      can move into A_(k-1) only when A_(k-1)[a] < A_(k-1)[a + 1].  If
+      either test fails and k > 1 the sequence is still left-weighted; with
+      k = 1, A_1 may have become Delta.
     - +e, i a right descent of A_k: s_i is appended as a new factor;
       (A_k, s_i) is left-weighted already.
     - otherwise (-e on an ascent, or no factor yet): +e appends s_i, and -e
       appends the simple s_i w0 (sigma_i^-1 Delta) and counts one more
       Delta^-1.
 
-    After an absorbed or appended simple the pairs are left-weighted from
-    the last one leftwards, up to the first pair where nothing moves; only
-    the last factor can become the identity (dropped), and only the first
-    can become Delta (moved into p).  At the end
+    After the last case, and after an absorb that the tests above do not
+    rule out, the pairs are left-weighted from the last one leftwards, up to
+    the first pair where nothing moves; only the last factor can become the
+    identity (dropped), and only the first can become Delta (moved into
+    p).  At the end
     Delta^p A Delta^(-m) = Delta^(p-m) tau^m(A), tau(x)(i) = n-1-x(n-1-i).
     """
     n = word.n
@@ -139,10 +146,13 @@ def _signed_normal_form(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ..
         i = abs(e) if m % 2 == 0 else n - abs(e)
         last = factors[-1] if factors else None
         if last is not None and (last[i - 1] > last[i]) == (e < 0):
-            last[i - 1], last[i] = last[i], last[i - 1]
+            a, b = last[i - 1], last[i]
+            last[i - 1], last[i] = b, a
             if e < 0:
                 if last == identity:
                     factors.pop()
+                continue
+            if len(factors) > 1 and (b != a + 1 or (prev := factors[-2])[a] > prev[a + 1]):
                 continue
         else:
             simple = identity[:]
@@ -322,19 +332,26 @@ def positive_action(
 # -- positive fractions --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _delta_complement(n: int, i: int, flip: int) -> tuple[int, ...]:
+    """Letters of the simple D sigma_i^-1, the complement of sigma_i in D,
+    with the conjugation j -> n-j applied when flip is 1."""
+    letters = (Permutation.longest(n) * Permutation.transposition(n, i)).reduced_word().letters
+    return tuple([n - j for j in letters]) if flip else letters
+
+
 def positive_fraction(word: BraidWord) -> tuple[BraidWord, BraidWord]:
     """Write the word as x * y^-1 with x and y positive.
 
     Each inverse letter is replaced using the half-twist D:
     sigma_i^-1 = D^-1 * (D sigma_i^-1), whose second factor is the simple
-    complementing sigma_i in D, and the accumulated D^-1 powers are pushed to
-    the right through positive letters with the index-reversing conjugation
-    i -> n-i.  The factorization is verified representation-side in the test
-    suite rather than trusted.
+    complementing sigma_i in D (its letters cached per n, i and parity), and
+    the accumulated D^-1 powers are pushed to the right through positive
+    letters with the index-reversing conjugation i -> n-i; y is D^d.  The
+    factorization is verified representation-side in the test suite rather
+    than trusted.
     """
     n = word.n
-    w0 = Permutation.longest(n)
-    delta_word = w0.reduced_word()
     positive: list[int] = []
     d = 0
     for e in word.letters:
@@ -342,12 +359,7 @@ def positive_fraction(word: BraidWord) -> tuple[BraidWord, BraidWord]:
             positive.append(e if d % 2 == 0 else n - e)
         else:
             d += 1
-            tail = (w0 * Permutation.transposition(n, -e)).reduced_word()
-            if d % 2 == 0:
-                positive.extend(tail.letters)
-            else:
-                positive.extend(n - j for j in tail.letters)
-    y = BraidWord(n)
-    for _ in range(d):
-        y = y * delta_word
-    return BraidWord(n, tuple(positive)), y
+            positive.extend(_delta_complement(n, -e, d % 2))
+    y = Permutation.longest(n).reduced_word().letters * d
+    return BraidWord(n, tuple(positive)), BraidWord(n, y)
+

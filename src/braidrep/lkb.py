@@ -27,9 +27,10 @@ Evaluation is a ring homomorphism, so a difference there proves "no"
 exactly (cf. J. T. Schwartz, J. ACM 27, 1980).  The second is the signed
 Garside normal form Delta^p A_1 ... A_k (``garside``), a complete invariant
 whose equality proves "yes".  Exact LKB images are built only when mod P
-agrees and the normal forms differ, and only for words of at most
-BRAIDREP_MAX_EXACT_LETTERS letters (``ResourceGuardError`` beyond); a
-disagreement that survives them raises ``InternalCheckError``.
+agrees and the normal forms differ; a disagreement that survives them
+raises ``InternalCheckError``.  There, in ``length_omega`` and in the CLI's
+``matrix --rep lkb``, only words of at most BRAIDREP_MAX_EXACT_LETTERS
+letters get an exact image (``ResourceGuardError`` beyond).
 """
 
 from __future__ import annotations
@@ -247,23 +248,28 @@ _MAX_EXACT_ENV = "BRAIDREP_MAX_EXACT_LETTERS"
 _DEFAULT_MAX_EXACT = 100
 
 
+def _guard_exact_images(*words: BraidWord) -> None:
+    """Refuse, with ResourceGuardError, to build the exact LKB image of a
+    word longer than BRAIDREP_MAX_EXACT_LETTERS letters (default 100)."""
+    cap = _env_cap(_MAX_EXACT_ENV, _DEFAULT_MAX_EXACT)
+    longest = max(len(w) for w in words)
+    if longest > cap:
+        raise ResourceGuardError(
+            f"exact LKB image of a {longest}-letter word exceeds {cap} letters"
+            f" (set {_MAX_EXACT_ENV} to raise)"
+        )
+
+
 def _two_engines(mod_p_equal: bool, nf_equal: bool, words, exact_equal) -> bool:
     """Equality as decided by both exact engines, raised on disagreement.
 
     Images that differ mod P prove "no"; equal Garside normal forms prove
     "yes".  When mod P agrees but the normal forms differ (a collision mod P,
     or a fault), exact_equal of the words' exact images settles it.  Those
-    are built only for words of at most BRAIDREP_MAX_EXACT_LETTERS letters
-    (default 100); a longer word raises ResourceGuardError.
+    are built only for words within ``_guard_exact_images``.
     """
     if mod_p_equal and not nf_equal:
-        cap = _env_cap(_MAX_EXACT_ENV, _DEFAULT_MAX_EXACT)
-        longest = max(len(w) for w in words)
-        if longest > cap:
-            raise ResourceGuardError(
-                f"exact LKB image of a {longest}-letter word exceeds {cap} letters"
-                f" (set {_MAX_EXACT_ENV} to raise)"
-            )
+        _guard_exact_images(*words)
         mod_p_equal = exact_equal(*[lkb_of_word(w) for w in words])
     if mod_p_equal != nf_equal:
         raise InternalCheckError("LKB images and Garside normal forms disagree")
@@ -307,10 +313,12 @@ def length_omega(word: BraidWord) -> int:
 
     Read off the t-degree span [k, l] of the image: the length is
     max(l-k, l, -k), which is 0 exactly for the trivial braid.  B_1 is
-    trivial, so every word on one strand has length 0.
+    trivial, so every word on one strand has length 0.  The image is built
+    only for words within ``_guard_exact_images``.
     """
     if word.n == 1:
         return 0
+    _guard_exact_images(word)
     lo, hi = t_degree_range(lkb_of_word(word))
     return max(hi - lo, hi, -lo)
 

@@ -34,6 +34,30 @@ def test_word_from_generator_and_non_integer_letters():
         BraidWord(3, (e for e in (1, 3)))
 
 
+def _word_error(n, letters):
+    with pytest.raises(ValueError) as info:
+        BraidWord(n, letters)
+    return str(info.value)
+
+
+def test_word_validation_messages():
+    assert BraidWord(3, (True, 2)).letters == (True, 2)
+    assert BraidWord(3, [1, -2]).letters == (1, -2)
+    assert isinstance(BraidWord(3, [1, -2]).letters, tuple)
+    assert BraidWord(100, (99, -99, 64, -65)).letters == (99, -99, 64, -65)
+    assert _word_error(3, (1, 1.0)) == "letter 1.0 is not an integer"
+    assert _word_error(3, ("1",)) == "letter '1' is not an integer"
+    assert _word_error(3, (1, 0)) == "letter 0 out of range for 3 strands"
+    assert _word_error(3, (3,)) == "letter 3 out of range for 3 strands"
+    assert _word_error(3, (2, -3)) == "letter -3 out of range for 3 strands"
+    assert _word_error(3, (False,)) == "letter False out of range for 3 strands"
+    assert _word_error(1, (True,)) == "letter True out of range for 1 strands"
+    assert _word_error(100, (100,)) == "letter 100 out of range for 100 strands"
+    # the first bad letter is reported, whatever its kind
+    assert _word_error(3, (5, 1.0)) == "letter 5 out of range for 3 strands"
+    assert _word_error(0, ()) == "strand count must be at least 1"
+
+
 def test_free_reduce():
     assert BraidWord(2, (1, -1)).free_reduce() == BraidWord(2)
     assert BraidWord(3, (1, 2, -2, -1)).free_reduce() == BraidWord(3)
@@ -118,6 +142,28 @@ def test_reduced_word_exhaustive():
             assert w.to_permutation() == x
     assert Permutation.identity(4).reduced_word() == BraidWord(4)
     assert Permutation.transposition(4, 1).reduced_word() == BraidWord(4, (1,))
+
+
+def rescan_reduced_word(x: Permutation) -> BraidWord:
+    """Reference: the smallest right descent found by a scan from position
+    0 after every swap."""
+    image = list(x.image)
+    collected = []
+    while True:
+        i = next((k for k in range(len(image) - 1) if image[k] > image[k + 1]), None)
+        if i is None:
+            break
+        collected.append(i + 1)
+        image[i], image[i + 1] = image[i + 1], image[i]
+    return BraidWord(x.n, tuple(reversed(collected)))
+
+
+def test_reduced_word_matches_rescan():
+    for n in range(1, 8):
+        for x in all_permutations(n):
+            w = x.reduced_word()
+            assert w == rescan_reduced_word(x), x
+            assert len(w) == x.length()
 
 
 def test_reduced_word_of_longest_element():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from braidrep import garside
 from braidrep.braid import BraidWord, Permutation, all_permutations, refpairs
 from braidrep.garside import (
     NormalForm,
@@ -372,6 +373,101 @@ def test_signed_normal_form_matches_reference():
     assert count >= 2000
 
 
+def full_pair_step_signed_normal_form(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Reference: ``_signed_normal_form`` as it was before the absorb
+    pre-check, running the pair steps after every absorb."""
+    n = word.n
+    identity = list(range(n))
+    w0 = identity[::-1]
+    factors: list[list[int]] = []
+    p = m = 0
+    for e in word.letters:
+        i = abs(e) if m % 2 == 0 else n - abs(e)
+        last = factors[-1] if factors else None
+        if last is not None and (last[i - 1] > last[i]) == (e < 0):
+            last[i - 1], last[i] = last[i], last[i - 1]
+            if e < 0:
+                if last == identity:
+                    factors.pop()
+                continue
+        else:
+            simple = identity[:]
+            simple[i - 1], simple[i] = i, i - 1
+            if e < 0:
+                simple.reverse()
+                m += 1
+            factors.append(simple)
+            if e > 0 and last is not None:
+                continue
+        for j in range(len(factors) - 2, -1, -1):
+            if not _left_weight(factors[j], factors[j + 1]):
+                break
+        if factors[-1] == identity:
+            factors.pop()
+        if factors and factors[0] == w0:
+            factors.pop(0)
+            p += 1
+    if m % 2:
+        factors = [[n - 1 - f[n - 1 - i] for i in identity] for f in factors]
+    return p - m, tuple(tuple(f) for f in factors)
+
+
+def _absorb_words(seed):
+    """Seeded words for the absorb pre-check, n = 2..9: mostly positive,
+    then signed words and runs sigma_i^(+-k)."""
+    rng = random.Random(seed)
+    for _ in range(1400):
+        n = rng.randint(2, 9)
+        yield random_positive_word(n, 40, rng)
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        yield random_word(n, 30, rng)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        letters = ()
+        for _ in range(rng.randint(1, 6)):
+            sign = 1 if rng.random() < 0.7 else -1
+            letters += (sign * rng.randint(1, n - 1),) * rng.randint(1, 5)
+        yield BraidWord(n, letters)
+
+
+def test_absorb_pre_check_matches_full_pair_steps():
+    count = 0
+    for w in _absorb_words(47):
+        assert _signed_normal_form(w) == full_pair_step_signed_normal_form(w), (w.n, w.letters)
+        count += 1
+    assert count >= 2000
+
+
+def test_absorb_pair_step_runs_only_when_a_generator_moves(monkeypatch):
+    # On a positive word the only pair steps follow an absorb into A_k, k > 1,
+    # and run only when the generator added to A_k's starting set can move
+    # into A_(k-1): so the first pair step after each letter moves something.
+    # The calls for a prefix are a prefix of the calls for the longer word.
+    calls = []
+    real = garside._left_weight
+
+    def recorded(u, v):
+        calls.append(real(u, v))
+        return calls[-1]
+
+    monkeypatch.setattr(garside, "_left_weight", recorded)
+    rng = random.Random(48)
+    sweeps = 0
+    for _ in range(200):
+        n = rng.randint(3, 8)
+        letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(2, 30)))
+        done = 0
+        for t in range(1, len(letters) + 1):
+            calls.clear()
+            _signed_normal_form(BraidWord(n, letters[:t]))
+            if len(calls) > done:
+                assert calls[done], (n, letters[:t])
+                sweeps += 1
+            done = len(calls)
+    assert sweeps > 100
+
+
 def _check_left_weight(u: Permutation, v: Permutation):
     head, rest = list(u.image), list(v.image)
     moved = _left_weight(head, rest)
@@ -517,3 +613,49 @@ def test_positive_fraction_random():
             assert x.is_positive and y.is_positive
             # w = x y^-1  <=>  w y = x under the faithful representation
             assert lkb_of_word(w) * lkb_of_word(y) == lkb_of_word(x)
+
+
+def loop_positive_fraction(word: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """Reference: ``positive_fraction`` as it was, with a permutation
+    product per inverse letter and D^d built by concatenation."""
+    n = word.n
+    w0 = Permutation.longest(n)
+    delta_word = w0.reduced_word()
+    positive = []
+    d = 0
+    for e in word.letters:
+        if e > 0:
+            positive.append(e if d % 2 == 0 else n - e)
+        else:
+            d += 1
+            tail = (w0 * Permutation.transposition(n, -e)).reduced_word()
+            if d % 2 == 0:
+                positive.extend(tail.letters)
+            else:
+                positive.extend(n - j for j in tail.letters)
+    y = BraidWord(n)
+    for _ in range(d):
+        y = y * delta_word
+    return BraidWord(n, tuple(positive)), y
+
+
+def test_positive_fraction_matches_loop_and_image():
+    rng = random.Random(49)
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        w = random_word(n, 24, rng)
+        x, y = positive_fraction(w)
+        assert (x, y) == loop_positive_fraction(w), (n, w.letters)
+        assert _image_mod_p(x * y.inverse()) == _image_mod_p(w), (n, w.letters)
+
+
+def test_normal_form_to_word_matches_concatenation():
+    rng = random.Random(50)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        nf = greedy_normal_form(random_positive_word(n, 40, rng))
+        word = BraidWord(n)
+        for f in nf.factors:
+            word = word * f.reduced_word()
+        assert nf.to_word() == word
+    assert NormalForm(3, ()).to_word() == BraidWord(3)

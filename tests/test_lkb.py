@@ -249,6 +249,35 @@ def test_exact_fallback_is_guarded(monkeypatch, capsys):
         words_equal(BraidWord(3, (1,)), BraidWord(3, (2, 1, 2)))
 
 
+@pytest.mark.parametrize("command", (["length-omega"], ["matrix", "--rep", "lkb"]))
+def test_exact_image_commands_are_guarded(monkeypatch, capsys, command):
+    word = BraidWord(3, (1, 2) * 50 + (1,))
+    argv = command + ["--n", "3", f"--word={word.to_text()}"]
+    monkeypatch.delenv("BRAIDREP_MAX_EXACT_LETTERS", raising=False)
+    started = time.monotonic()
+    code, out, err = _cli(capsys, *argv)
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource guard: exact LKB image of a 101-letter word exceeds 100 letters"
+        " (set BRAIDREP_MAX_EXACT_LETTERS to raise)\n"
+    )
+    monkeypatch.setenv("BRAIDREP_MAX_EXACT_LETTERS", "101")
+    code, out, err = _cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    if command == ["length-omega"]:
+        assert out == f"{length_omega(word)}\n"
+
+
+def test_length_omega_guard(monkeypatch):
+    monkeypatch.setenv("BRAIDREP_MAX_EXACT_LETTERS", "3")
+    assert length_omega(BraidWord(3, (1, 2, 1))) == 1
+    with pytest.raises(ResourceGuardError):
+        length_omega(BraidWord(3, (1, 2, 1, 2)))
+    # one strand needs no image
+    assert length_omega(BraidWord(1)) == 0
+
+
 def test_image_mod_p_matches_exact_image():
     rng = random.Random(58)
     for n in range(2, 8):
