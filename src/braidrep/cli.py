@@ -61,10 +61,10 @@ def _print_matrix(matrix, fmt: str, order: str) -> None:
 
 def _cmd_matrix(args) -> int:
     word = _parse_word(args.n, args.word)
+    _guard_exact_images(word, rep="Burau" if args.rep == "burau" else "LKB")
     if args.rep == "burau":
         _print_matrix(burau_of_word(word), args.format, "strand")
     else:
-        _guard_exact_images(word)
         _print_matrix(lkb_of_word(word), args.format, "lex-refpair")
     return 0
 

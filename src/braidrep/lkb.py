@@ -29,7 +29,7 @@ Garside normal form Delta^p A_1 ... A_k (``garside``), a complete invariant
 whose equality proves "yes".  Exact LKB images are built only when mod P
 agrees and the normal forms differ; a disagreement that survives them
 raises ``InternalCheckError``.  There, in ``length_omega`` and in the CLI's
-``matrix --rep lkb``, only words of at most BRAIDREP_MAX_EXACT_LETTERS
+``matrix`` (either rep), only words of at most BRAIDREP_MAX_EXACT_LETTERS
 letters get an exact image (``ResourceGuardError`` beyond).
 """
 
@@ -248,14 +248,14 @@ _MAX_EXACT_ENV = "BRAIDREP_MAX_EXACT_LETTERS"
 _DEFAULT_MAX_EXACT = 100
 
 
-def _guard_exact_images(*words: BraidWord) -> None:
-    """Refuse, with ResourceGuardError, to build the exact LKB image of a
-    word longer than BRAIDREP_MAX_EXACT_LETTERS letters (default 100)."""
+def _guard_exact_images(*words: BraidWord, rep: str = "LKB") -> None:
+    """Refuse, with ResourceGuardError, to build the exact image under rep of
+    a word longer than BRAIDREP_MAX_EXACT_LETTERS letters (default 100)."""
     cap = _env_cap(_MAX_EXACT_ENV, _DEFAULT_MAX_EXACT)
     longest = max(len(w) for w in words)
     if longest > cap:
         raise ResourceGuardError(
-            f"exact LKB image of a {longest}-letter word exceeds {cap} letters"
+            f"exact {rep} image of a {longest}-letter word exceeds {cap} letters"
             f" (set {_MAX_EXACT_ENV} to raise)"
         )
 

@@ -249,17 +249,20 @@ def test_exact_fallback_is_guarded(monkeypatch, capsys):
         words_equal(BraidWord(3, (1,)), BraidWord(3, (2, 1, 2)))
 
 
-@pytest.mark.parametrize("command", (["length-omega"], ["matrix", "--rep", "lkb"]))
+@pytest.mark.parametrize(
+    "command", (["length-omega"], ["matrix", "--rep", "lkb"], ["matrix", "--rep", "burau"])
+)
 def test_exact_image_commands_are_guarded(monkeypatch, capsys, command):
     word = BraidWord(3, (1, 2) * 50 + (1,))
     argv = command + ["--n", "3", f"--word={word.to_text()}"]
+    rep = "Burau" if "burau" in command else "LKB"
     monkeypatch.delenv("BRAIDREP_MAX_EXACT_LETTERS", raising=False)
     started = time.monotonic()
     code, out, err = _cli(capsys, *argv)
     assert time.monotonic() - started < 1.0
     assert (code, out) == (3, "")
     assert err == (
-        "resource guard: exact LKB image of a 101-letter word exceeds 100 letters"
+        f"resource guard: exact {rep} image of a 101-letter word exceeds 100 letters"
         " (set BRAIDREP_MAX_EXACT_LETTERS to raise)\n"
     )
     monkeypatch.setenv("BRAIDREP_MAX_EXACT_LETTERS", "101")
