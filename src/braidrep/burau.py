@@ -22,7 +22,7 @@ from fractions import Fraction
 from .braid import BraidWord, Permutation
 from .errors import InternalCheckError
 from .laurent import LaurentPoly
-from .matrix import RepMatrix, solve
+from .matrix import RepMatrix, relation_inverse, solve
 
 
 # The Hecke relation (s - 1)(s + t) = 0 gives s^-1 = u s + v with these (u, v).
@@ -40,22 +40,15 @@ def burau_generator(n: int, i: int, sign: int = 1) -> RepMatrix:
         raise ValueError(f"generator index {i} out of range for n={n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if sign == -1:
-        sigma = burau_generator(n, i, 1)
-        u, v = _HECKE_INVERSE
-        inverse = sigma.scale(u) + RepMatrix.scalar(n, v)
-        if not (sigma * inverse).is_identity():
-            raise InternalCheckError("Burau inverse table fails sigma * sigma^-1 = I")
-        return inverse
+    one = LaurentPoly.one()
     t = LaurentPoly.var_t()
-    rows = [
-        [LaurentPoly.const(1 if r == c else 0) for c in range(n)] for r in range(n)
-    ]
-    rows[i - 1][i - 1] = LaurentPoly.one() - t
-    rows[i - 1][i] = t
-    rows[i][i - 1] = LaurentPoly.one()
-    rows[i][i] = LaurentPoly.zero()
-    return RepMatrix.from_rows(rows)
+    rows = [((r, one),) for r in range(n)]
+    rows[i - 1] = ((i - 1, one - t), (i, t))
+    rows[i] = ((i - 1, one),)
+    if sign == -1:
+        u, v = _HECKE_INVERSE
+        rows = relation_inverse(rows, (v, u), "Burau")
+    return RepMatrix.from_sparse_rows(rows)
 
 
 def burau_of_word(word: BraidWord) -> RepMatrix:
@@ -113,18 +106,13 @@ def permutation_matrix(x: Permutation) -> tuple[tuple[int, ...], ...]:
 def _reduced_basis(n: int) -> RepMatrix:
     # Columns: h_i = t*e_i - e_{i+1} for i < n, then the all-ones fixed vector.
     # The h_i span the kernel of the invariant functional v -> sum t^(i-1) v_i.
+    one = LaurentPoly.one()
     t = LaurentPoly.var_t()
-    zero = LaurentPoly.zero()
-    cols = []
+    rows = [[(n - 1, one)] for _ in range(n)]
     for i in range(n - 1):
-        col = [zero] * n
-        col[i] = t
-        col[i + 1] = -LaurentPoly.one()
-        cols.append(col)
-    cols.append([LaurentPoly.one()] * n)
-    return RepMatrix.from_rows(
-        [[cols[c][r] for c in range(n)] for r in range(n)]
-    )
+        rows[i].append((i, t))
+        rows[i + 1].append((i, -one))
+    return RepMatrix.from_sparse_rows(rows)
 
 
 def burau_reduced_of_word(word: BraidWord) -> RepMatrix:

@@ -280,26 +280,25 @@ def _t_constant_support(n: int, k: int) -> dict[tuple[int, int], frozenset[tuple
     asserted here.
     """
     from .laurent import LaurentPoly
-    from .lkb import lkb_generator
+    from .lkb import _generator_rows
 
     allowed = {
         LaurentPoly.one(),
         LaurentPoly.var_q(),
         LaurentPoly.one() - LaurentPoly.var_q(),
     }
-    matrix = lkb_generator(n, k)
     pairs = refpairs(n)
     support: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    for r, s_prime in enumerate(pairs):
+    for s_prime, row in zip(pairs, _generator_rows(n, k, 1)):
         cols = []
-        for c, s in enumerate(pairs):
-            const = matrix.entries[r][c].t_constant_term()
+        for c, entry in row:
+            const = entry.t_constant_term()
             if const:
                 if const not in allowed:
                     raise InternalCheckError(
                         f"unexpected t-constant term {const.pretty()} in generator table"
                     )
-                cols.append(s)
+                cols.append(pairs[c])
         support[s_prime] = frozenset(cols)
     return support
 

@@ -15,6 +15,10 @@ cases depending on how k sits relative to i and j:
     k = j-1 (k > i)  :  x_{i,j-1} + t q^(j-i) (q-1) x_{j-1,j}
     k = j            :  (1-q) x_{i,j} + q x_{i,j+1}
 
+Each generator and its inverse are kept once, as the sparse rows of
+``_generator_rows``: the dense matrices, the tables mod P, the W-vector
+action and the Ref action in ``garside`` all read them.
+
 Because the representation is faithful, the image matrix is a complete
 invariant of the braid: triviality, word equality, and the word length with
 respect to the simple elements and their inverses are all decided here.
@@ -38,14 +42,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-from collections import defaultdict
 from fractions import Fraction
 
 from .braid import BraidWord, all_permutations, refpairs
 from .errors import InternalCheckError, ResourceGuardError
 from .garside import _signed_normal_form
-from .laurent import LaurentPoly, _accumulate, _add_product, _collected
-from .matrix import RepMatrix, t_degree_range
+from .laurent import LaurentPoly, _accumulate
+from .matrix import RepMatrix, relation_inverse, t_degree_range
 
 
 def lkb_dim(n: int) -> int:
@@ -88,66 +91,35 @@ _INVERSE_RELATION = (
 )
 
 
-def _apply(columns, vector) -> defaultdict[int, dict]:
-    """The sparse columns applied to a sparse vector of (coefficient, index) terms.
-
-    Returns, per target index, an accumulator of term products.
-    """
-    acc: defaultdict[int, dict] = defaultdict(dict)
-    for c, r in vector:
-        for c2, r2 in columns[r]:
-            _add_product(acc[r2], c, c2)
-    return acc
-
-
-def _inverse_columns(columns) -> list:
-    """The columns of s^-1 = u (s^2 + a s + b) for the columns of s.
-
-    Each column of s has at most 2 terms, so s^2 x has at most 4 and the
-    inverse column at most 3.  Raises when s * s^-1 is not the identity.
-    """
-    u, a, b = _INVERSE_RELATION
-    ua, ub = u * a, u * b
-    inverse = []
-    for j, col in enumerate(columns):
-        acc = _apply(columns, [(u * c, r) for c, r in col])
-        for c, r in col:
-            _add_product(acc[r], c, ua)
-        _add_product(acc[j], ub, LaurentPoly.one())
-        inverse.append([(e, r) for r, terms in acc.items() if (e := _collected(terms))])
-    for j, col in enumerate(inverse):
-        product = {r: e for r, terms in _apply(columns, col).items() if (e := _collected(terms))}
-        if product != {j: LaurentPoly.one()}:
-            raise InternalCheckError("LKB inverse table fails sigma * sigma^-1 = I")
-    return inverse
-
-
 @functools.lru_cache(maxsize=None)
-def lkb_generator(n: int, k: int, sign: int = 1) -> RepMatrix:
-    """Matrix of sigma_k^(+-1) in the x basis, columns indexed lexicographically.
+def _generator_rows(n: int, k: int, sign: int) -> tuple:
+    """sigma_k^(+-1) in the x basis as sparse rows: row r lists its nonzero
+    (column, entry) pairs by column, pairs indexed lexicographically.
 
-    The inverse is built column by column from the cubic relation
-    (s - 1)(s + q)(s - t q^2) = 0, with no elimination, and checked by the
-    product s * s^-1 = I.
+    The rows of sigma_k transpose the columns of ``_generator_column``.  The
+    inverse comes from the cubic relation (s - 1)(s + q)(s - t q^2) = 0,
+    which the transpose satisfies too, with no elimination, and is checked
+    by s * s^-1 = I.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} out of range for n={n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    index = _pair_index(n)
-    columns = [
-        [(coeff, index[target]) for coeff, target in _generator_column(n, k, i, j)]
-        for i, j in index
-    ]
     if sign == -1:
-        columns = _inverse_columns(columns)
-    dim = lkb_dim(n)
-    zero = LaurentPoly.zero()
-    rows = [[zero] * dim for _ in range(dim)]
-    for col, terms in enumerate(columns):
-        for coeff, r in terms:
-            rows[r][col] = coeff
-    return RepMatrix.from_rows(rows)
+        u, a, b = _INVERSE_RELATION
+        return relation_inverse(_generator_rows(n, k, 1), (u * b, u * a, u), "LKB")
+    index = _pair_index(n)
+    rows: list[list] = [[] for _ in index]
+    for col, (i, j) in enumerate(index):
+        for coeff, target in _generator_column(n, k, i, j):
+            rows[index[target]].append((col, coeff))
+    return tuple(map(tuple, rows))
+
+
+@functools.lru_cache(maxsize=None)
+def lkb_generator(n: int, k: int, sign: int = 1) -> RepMatrix:
+    """Matrix of sigma_k^(+-1) in the x basis, columns indexed lexicographically."""
+    return RepMatrix.from_sparse_rows(_generator_rows(n, k, sign))
 
 
 def lkb_of_word(word: BraidWord) -> RepMatrix:
@@ -167,20 +139,16 @@ def basis_change_v_of_x(n: int) -> tuple[RepMatrix, RepMatrix]:
     The round trip is asserted to be the identity.
     """
     index = _pair_index(n)
-    dim = lkb_dim(n)
     one = LaurentPoly.one()
     q = LaurentPoly.var_q()
-    zero = LaurentPoly.zero()
-    p_rows = [[zero] * dim for _ in range(dim)]
-    q_rows = [[zero] * dim for _ in range(dim)]
+    p_rows: list[list] = [[(col, one)] for col in index.values()]
+    q_rows: list[list] = [[(col, one)] for col in index.values()]
     for (i, j), col in index.items():
-        p_rows[col][col] = one
-        q_rows[col][col] = one
         for k in range(i + 1, j):
-            p_rows[index[(k, j)]][col] = one - q
-            q_rows[index[(k, j)]][col] = (q - one) * q ** (k - 1 - i)
-    p = RepMatrix.from_rows(p_rows)
-    qm = RepMatrix.from_rows(q_rows)
+            p_rows[index[(k, j)]].append((col, one - q))
+            q_rows[index[(k, j)]].append((col, (q - one) * q ** (k - 1 - i)))
+    p = RepMatrix.from_sparse_rows(p_rows)
+    qm = RepMatrix.from_sparse_rows(q_rows)
     if not (p * qm).is_identity() or not (qm * p).is_identity():
         raise InternalCheckError("basis-change matrices are not mutually inverse")
     return p, qm
@@ -208,9 +176,8 @@ def _generator_mod_p(n: int, k: int, sign: int) -> tuple:
     rows equal to the identity's are left out.
     """
     rows = []
-    for r, row in enumerate(lkb_generator(n, k, sign).entries):
-        values = [(c, _mod_p(e)) for c, e in enumerate(row) if e]
-        values = tuple((c, x) for c, x in values if x)
+    for r, row in enumerate(_generator_rows(n, k, sign)):
+        values = tuple((c, x) for c, e in row if (x := _mod_p(e)))
         if values != ((r, 1),):
             rows.append((r, values))
     return tuple(rows)
@@ -241,7 +208,12 @@ def _image_mod_p(word: BraidWord) -> tuple[int, ...]:
 
 def _env_cap(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 _MAX_EXACT_ENV = "BRAIDREP_MAX_EXACT_LETTERS"
@@ -443,17 +415,19 @@ def apply_positive_word(
     word: BraidWord, vector: WVector, q_value: Fraction = Fraction(1, 2)
 ) -> WVector:
     """Apply the matrix of a positive word to the vector, q evaluated exactly."""
+    if word.n != vector.n:
+        raise ValueError(f"strand count mismatch: {word.n} vs {vector.n}")
     if not word.is_positive:
         raise ValueError("W is only preserved by positive words")
     coords = [dict(coord) for coord in vector.coords]
     for e in reversed(word.letters):
-        matrix = lkb_generator(word.n, e)
-        new_coords: list[dict[int, Fraction]] = [dict() for _ in coords]
-        for r, row in enumerate(matrix.entries):
-            acc = new_coords[r]
-            for entry, coord in zip(row, coords):
-                if entry and coord:
+        new_coords: list[dict[int, Fraction]] = []
+        for row in _generator_rows(word.n, e, 1):
+            acc: dict[int, Fraction] = {}
+            for c, entry in row:
+                if coord := coords[c]:
                     values = entry.evaluate_first(q_value).items()
                     _accumulate(acc, ((t + v, a * b) for t, a in values for v, b in coord.items()))
+            new_coords.append(acc)
         coords = new_coords
     return WVector.from_maps(word.n, coords)

@@ -2,7 +2,11 @@
 Dense square matrices over exact Laurent polynomials.
 
 Matrices are small (at most n(n-1)/2 rows for the representations built on
-top), so a dense immutable tuple-of-tuples layout wins over anything sparse.
+top), so a dense immutable tuple-of-tuples layout wins over anything sparse
+for products.  Generator tables are sparse rows of (column, entry) pairs:
+``RepMatrix.from_sparse_rows`` is the one builder that fills in the zeros,
+and ``relation_inverse`` reads a generator's inverse off its characteristic
+relation in closed form.
 A product collects the term products of each entry in one accumulator of the
 polynomial kernel and builds the entry once, with no intermediate polynomial
 per pair of terms.
@@ -11,9 +15,7 @@ stays inside the Laurent ring, dividing only exactly; the determinant is read
 off it, and solving and inversion divide its right block exactly by the final
 pivot.  Entries of a solution are required to be genuine Laurent
 polynomials, and an inverse is checked against the identity before
-returning.  The generator tables do not use it: their inverses come in
-closed form from the generators' characteristic relations (``lkb``,
-``burau``), and the tests use ``mat_inverse`` as their oracle.
+returning; the tests use ``mat_inverse`` as the oracle of the closed forms.
 """
 
 from __future__ import annotations
@@ -50,13 +52,19 @@ class RepMatrix:
 
     @classmethod
     def scalar(cls, dim: int, value: LaurentPoly) -> "RepMatrix":
+        return cls.from_sparse_rows([((r, value),) for r in range(dim)])
+
+    @classmethod
+    def from_sparse_rows(cls, rows) -> "RepMatrix":
+        """The matrix whose row r has the (column, entry) pairs of rows[r] and zeros elsewhere."""
         zero = LaurentPoly.zero()
-        return cls(
-            tuple(
-                tuple(value if r == c else zero for c in range(dim))
-                for r in range(dim)
-            )
-        )
+        dense = []
+        for row in rows:
+            out = [zero] * len(rows)
+            for c, e in row:
+                out[c] = e
+            dense.append(tuple(out))
+        return cls(tuple(dense))
 
     def __mul__(self, other: "RepMatrix") -> "RepMatrix":
         if not isinstance(other, RepMatrix):
@@ -131,13 +139,40 @@ class RepMatrix:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RepMatrix":
         dim = int(obj["dim"])
-        zero = LaurentPoly.zero()
-        rows = [[zero] * dim for _ in range(dim)]
+        rows: list[list] = [[] for _ in range(dim)]
         for r, c, text in obj["entries"]:
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"entry index ({r}, {c}) out of range for dimension {dim}")
-            rows[r][c] = LaurentPoly.from_text(text)
-        return cls.from_rows(rows)
+            rows[r].append((c, LaurentPoly.from_text(text)))
+        return cls.from_sparse_rows(rows)
+
+
+def _times(row, rows) -> list:
+    """The sparse row vector row times the matrix with sparse rows rows."""
+    accs: defaultdict[int, dict] = defaultdict(dict)
+    for c, a in row:
+        for c2, e in rows[c]:
+            _add_product(accs[c2], a, e)
+    return [(c, e) for c, terms in accs.items() if (e := _collected(terms))]
+
+
+def relation_inverse(rows, coeffs, rep: str) -> tuple:
+    """The sparse rows of s^-1 = sum_k coeffs[k] * s^k, given the sparse rows
+    of s and coeffs from its characteristic relation.
+
+    Row j of s^-1 is the vector coeffs times the rows j of s^0, s^1, ...
+    Raises InternalCheckError, naming rep, unless s * s^-1 = I row by row.
+    """
+    one = LaurentPoly.one()
+    inverse = []
+    for j in range(len(rows)):
+        powers = [((j, one),), rows[j]]
+        while len(powers) < len(coeffs):
+            powers.append(_times(powers[-1], rows))
+        inverse.append(tuple(sorted(_times(enumerate(coeffs), powers))))
+    if any(_times(row, inverse) != [(j, one)] for j, row in enumerate(rows)):
+        raise InternalCheckError(f"{rep} inverse table fails sigma * sigma^-1 = I")
+    return tuple(inverse)
 
 
 def t_degree_range(matrix: RepMatrix) -> tuple[int, int]:

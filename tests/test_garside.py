@@ -23,7 +23,7 @@ from braidrep.garside import (
     random_half_permutation,
     simple_head,
 )
-from braidrep.lkb import _image_mod_p, length_omega, lkb_of_word
+from braidrep.lkb import _image_mod_p, length_omega, lkb_generator, lkb_of_word
 from braidrep.matrix import t_degree_range
 from braidrep.verify import random_positive_word, random_word, rewritten_equivalent
 
@@ -487,6 +487,17 @@ def test_left_weight_matches_transfer():
         for _ in range(300):
             u, v = (Permutation(tuple(rng.sample(range(n), n))) for _ in range(2))
             _check_left_weight(u, v)
+
+
+def test_t_constant_support_matches_the_dense_generator():
+    for n in range(2, 8):
+        pairs = refpairs(n)
+        for k in range(1, n):
+            expected = {
+                s_prime: frozenset(s for s, e in zip(pairs, row) if e.t_constant_term())
+                for s_prime, row in zip(pairs, lkb_generator(n, k).entries)
+            }
+            assert garside._t_constant_support(n, k) == expected, (n, k)
 
 
 def test_half_permutation_predicate():

@@ -19,7 +19,7 @@ from braidrep.lkb import is_trivial, length_omega, lkb_generator, words_equal
 from braidrep.matrix import mat_inverse
 from braidrep.verify import random_word, rewritten_equivalent
 
-TABLE_CACHES = (lkb.lkb_generator, burau.burau_generator, lkb._generator_mod_p)
+TABLE_CACHES = (lkb._generator_rows, lkb.lkb_generator, burau.burau_generator, lkb._generator_mod_p)
 
 
 @pytest.fixture

@@ -424,5 +424,42 @@ def test_w_class_tracks_positive_action():
         apply_positive_word(BraidWord(4, (-1,)), random_w_vector(4, frozenset(), rng))
 
 
+def test_apply_positive_word_checks_the_strand_count():
+    rng = random.Random(55)
+    for word, m in ((BraidWord(4, (3,)), 3), (BraidWord(3, (1,)), 4)):
+        with pytest.raises(ValueError, match=f"strand count mismatch: {word.n} vs {m}"):
+            apply_positive_word(word, random_w_vector(m, frozenset(), rng))
+
+
+def test_apply_positive_word_matches_the_exact_image():
+    # the sparse generator rows against the dense image, q evaluated at 1/2
+    rng = random.Random(56)
+    half = Fraction(1, 2)
+    for _ in range(200):
+        n = rng.randint(3, 5)
+        v = random_w_vector(n, random_half_permutation(n, rng), rng)
+        x = random_positive_word(n, 6, rng)
+        got = apply_positive_word(x, v, half)
+        for idx, row in enumerate(lkb_of_word(x).entries):
+            want: dict[int, Fraction] = {}
+            for entry, coord in zip(row, v.coords):
+                for t, a in entry.evaluate_first(half).items():
+                    for s, b in coord:
+                        want[t + s] = want.get(t + s, 0) + a * b
+            assert got.coords[idx] == tuple(sorted((e, c) for e, c in want.items() if c)), (x, idx)
+
+
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("BRAIDREP_MAX_EXACT_LETTERS", "abc", ["length-omega", "--n", "3", "--word", "1,2"]),
+        ("BRAIDREP_MAX_BALL", "1e3", ["growth", "--n", "3", "--radius", "1"]),
+    ],
+)
+def test_a_bad_setting_is_named(monkeypatch, capsys, name, value, argv):
+    monkeypatch.setenv(name, value)
+    assert _cli(capsys, *argv) == (2, "", f"error: {name} must be an integer, got {value!r}\n")
+
+
 def test_lkb_dim():
     assert [lkb_dim(n) for n in (2, 3, 4, 7)] == [1, 3, 6, 21]
