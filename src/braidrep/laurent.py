@@ -15,9 +15,9 @@ term maps are equal.  A constant polynomial hashes like its integer.
 All term collection goes through one private kernel: ``_accumulate`` adds
 (key, coefficient) items into a dict and drops zero sums, and ``_add_product``,
 the only double loop over term pairs, adds x * y into an accumulator that
-``_collected`` turns into a polynomial.  The matrix product, the
-closed-form generator inverses (``matrix.relation_inverse``) and the
-W-vector action in ``lkb`` use it too.
+``_collected`` turns into a polynomial.  The sparse-row product
+``matrix._times`` (every matrix product), the elimination in ``matrix`` and
+the W-vector action in ``lkb`` use it too.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ cases depending on how k sits relative to i and j:
     k = j            :  (1-q) x_{i,j} + q x_{i,j+1}
 
 Each generator and its inverse are kept once, as the sparse rows of
-``_generator_rows``: the dense matrices, the tables mod P, the W-vector
-action and the Ref action in ``garside`` all read them.
+``_generator_rows``: the word images, the dense views ``lkb_generator``, the
+tables mod P, the W-vector action and the Ref action in ``garside`` all read them.
 
 Because the representation is faithful, the image matrix is a complete
 invariant of the braid: triviality, word equality, and the word length with
@@ -48,7 +48,7 @@ from .braid import BraidWord, all_permutations, refpairs
 from .errors import InternalCheckError, ResourceGuardError
 from .garside import _signed_normal_form
 from .laurent import LaurentPoly, _accumulate
-from .matrix import RepMatrix, relation_inverse, t_degree_range
+from .matrix import RepMatrix, _word_image, relation_inverse, t_degree_range
 
 
 def lkb_dim(n: int) -> int:
@@ -60,25 +60,29 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
     return {pair: idx for idx, pair in enumerate(refpairs(n))}
 
 
+@functools.lru_cache(maxsize=None)
+def _column_entry(c: int, a: int, b: int, e: int) -> LaurentPoly:
+    """c q^a t^b (q - 1)^e, the form of every entry of ``_generator_column``."""
+    return LaurentPoly.monomial(c, a, b) * (LaurentPoly.var_q() - LaurentPoly.one()) ** e
+
+
 def _generator_column(n: int, k: int, i: int, j: int):
     """Image of x_{i,j} under sigma_k as (coefficient, target pair) terms."""
-    one = LaurentPoly.one()
-    q = LaurentPoly.var_q()
-    t = LaurentPoly.var_t()
+    one = _column_entry(1, 0, 0, 0)
     if k < i - 1 or j < k:
         return [(one, (i, j))]
     if k == i - 1:
-        return [(one, (i - 1, j)), (one - q, (i, j))]
+        return [(one, (i - 1, j)), (_column_entry(-1, 0, 0, 1), (i, j))]
     if k == i and i == j - 1:
-        return [(t * q * q, (i, j))]
+        return [(_column_entry(1, 2, 1, 0), (i, j))]
     if k == i:
-        return [(t * q * (q - one), (i, i + 1)), (q, (i + 1, j))]
+        return [(_column_entry(1, 1, 1, 1), (i, i + 1)), (_column_entry(1, 1, 0, 0), (i + 1, j))]
     if i < k < j - 1:
-        return [(one, (i, j)), (t * q ** (k - i) * (q - one) ** 2, (k, k + 1))]
+        return [(one, (i, j)), (_column_entry(1, k - i, 1, 2), (k, k + 1))]
     if k == j - 1:
-        return [(one, (i, j - 1)), (t * q ** (j - i) * (q - one), (j - 1, j))]
+        return [(one, (i, j - 1)), (_column_entry(1, j - i, 1, 1), (j - 1, j))]
     if k == j:
-        return [(one - q, (i, j)), (q, (i, j + 1))]
+        return [(_column_entry(-1, 0, 0, 1), (i, j)), (_column_entry(1, 1, 0, 0), (i, j + 1))]
     raise AssertionError(f"unreachable case k={k}, i={i}, j={j}")
 
 
@@ -123,10 +127,7 @@ def lkb_generator(n: int, k: int, sign: int = 1) -> RepMatrix:
 
 
 def lkb_of_word(word: BraidWord) -> RepMatrix:
-    acc = RepMatrix.identity(lkb_dim(word.n))
-    for e in word.letters:
-        acc = acc * lkb_generator(word.n, abs(e), 1 if e > 0 else -1)
-    return acc
+    return _word_image(lkb_dim(word.n), word.letters, functools.partial(_generator_rows, word.n))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,15 +1,15 @@
 """
-Dense square matrices over exact Laurent polynomials.
+Square matrices over exact Laurent polynomials, and the one sparse-row product.
 
-Matrices are small (at most n(n-1)/2 rows for the representations built on
-top), so a dense immutable tuple-of-tuples layout wins over anything sparse
-for products.  Generator tables are sparse rows of (column, entry) pairs:
-``RepMatrix.from_sparse_rows`` is the one builder that fills in the zeros,
-and ``relation_inverse`` reads a generator's inverse off its characteristic
-relation in closed form.
-A product collects the term products of each entry in one accumulator of the
-polynomial kernel and builds the entry once, with no intermediate polynomial
-per pair of terms.
+A ``RepMatrix`` is a dense immutable tuple of rows; ``from_sparse_rows`` is
+the one builder that fills in the zeros.  Products run on sparse rows of
+(column, entry) pairs, since generators are mostly identity rows.  ``_times``,
+a sparse row times a matrix given by its sparse rows, is the only product:
+``RepMatrix.__mul__`` applies it to the nonzero entries of each row,
+``relation_inverse`` reads a generator's inverse off its characteristic
+relation with it, and ``_word_image`` multiplies sparse rows by each letter's
+cached generator rows and builds the dense matrix once, at the end.  Each
+entry collects its term products in one accumulator of the polynomial kernel.
 One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
 stays inside the Laurent ring, dividing only exactly; the determinant is read
 off it, and solving and inversion divide its right block exactly by the final
@@ -69,23 +69,13 @@ class RepMatrix:
     def __mul__(self, other: "RepMatrix") -> "RepMatrix":
         if not isinstance(other, RepMatrix):
             return NotImplemented
-        d = self.dim
-        if other.dim != d:
-            raise ValueError(f"dimension mismatch: {d} vs {other.dim}")
-        nonzero = [[(c, e) for c, e in enumerate(row) if e] for row in other.entries]
-        zero = LaurentPoly.zero()
-        rows = []
-        for arow in self.entries:
-            accs: defaultdict[int, dict] = defaultdict(dict)
-            for a, brow in zip(arow, nonzero):
-                if a:
-                    for c, e in brow:
-                        _add_product(accs[c], a, e)
-            row = [zero] * d
-            for c, acc in accs.items():
-                row[c] = _collected(acc)
-            rows.append(tuple(row))
-        return RepMatrix(tuple(rows))
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        rows = other._sparse_rows()
+        return RepMatrix.from_sparse_rows([_times(row, rows) for row in self._sparse_rows()])
+
+    def _sparse_rows(self) -> list:
+        return [[(c, e) for c, e in enumerate(row) if e] for row in self.entries]
 
     def _entrywise(self, other: "RepMatrix", op) -> "RepMatrix":
         if not isinstance(other, RepMatrix):
@@ -129,11 +119,7 @@ class RepMatrix:
 
     def to_json_obj(self, order: str) -> dict:
         """Wire form: zero entries omitted, 0-based row/col indices."""
-        items = []
-        for r, row in enumerate(self.entries):
-            for c, e in enumerate(row):
-                if e:
-                    items.append([r, c, e.to_text()])
+        items = [[r, c, e.to_text()] for r, row in enumerate(self._sparse_rows()) for c, e in row]
         return {"dim": self.dim, "order": order, "entries": items}
 
     @classmethod
@@ -154,6 +140,17 @@ def _times(row, rows) -> list:
         for c2, e in rows[c]:
             _add_product(accs[c2], a, e)
     return [(c, e) for c, terms in accs.items() if (e := _collected(terms))]
+
+
+def _word_image(dim: int, letters, generator_rows) -> RepMatrix:
+    """The dim x dim product, left to right, of the sparse generator rows
+    generator_rows(abs(e), sign of e) over the letters e; dense only at the end."""
+    one = LaurentPoly.one()
+    acc = [((r, one),) for r in range(dim)]
+    for e in letters:
+        rows = generator_rows(abs(e), 1 if e > 0 else -1)
+        acc = [_times(row, rows) for row in acc]
+    return RepMatrix.from_sparse_rows(acc)
 
 
 def relation_inverse(rows, coeffs, rep: str) -> tuple:
@@ -179,12 +176,11 @@ def t_degree_range(matrix: RepMatrix) -> tuple[int, int]:
     """Smallest and largest exponent of the second variable over all entries."""
     lo: int | None = None
     hi: int | None = None
-    for row in matrix.entries:
-        for e in row:
-            if e:
-                a, b = e.degree_range(1)
-                lo = a if lo is None else min(lo, a)
-                hi = b if hi is None else max(hi, b)
+    for row in matrix._sparse_rows():
+        for _, e in row:
+            a, b = e.degree_range(1)
+            lo = a if lo is None else min(lo, a)
+            hi = b if hi is None else max(hi, b)
     if lo is None or hi is None:
         raise ValueError("t-degree range of the zero matrix is undefined")
     return lo, hi

@@ -123,7 +123,7 @@ def suite_relations(n: int) -> list[CheckResult]:
     one = LaurentPoly.one()
     t = LaurentPoly.var_t()
     for i in range(1, n):
-        g = burau_generator(n, i)
+        g = burau_generator(n, i, 1)
         hecke = g * g == g.scale(one - t) + RepMatrix.identity(n).scale(t)
         out.append(CheckResult(f"burau hecke relation at i={i}", hecke))
         out.append(CheckResult(f"burau det(sigma{i}) == -t", mat_det(g) == -t))

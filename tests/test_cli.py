@@ -204,3 +204,48 @@ def test_cli_argv_fuzz(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code in (0, 1, 2, 3, 4), argv
+
+
+_BAD_VALUES = ("x", "", " ", "2.5", "1e3", "0x3", "-", "--", "nope")
+_CAPS = ("BRAIDREP_MAX_EXACT_LETTERS", "BRAIDREP_MAX_BALL")
+_CAP_VALUES = ("x", "1.5", " ", "ten", "0", "5", "2**10")
+
+
+def _malformed(rng, argv: list[str]) -> list[str]:
+    """argv with one value replaced by garbage, one option dropped, or an
+    unknown option added."""
+    argv = list(argv)
+    roll = rng.random()
+    if roll < 0.5:
+        k = rng.randrange(1, len(argv))
+        if "=" in argv[k]:
+            argv[k] = argv[k].split("=")[0] + "=" + rng.choice(_BAD_VALUES)
+        elif argv[k].startswith("--") and k + 1 < len(argv):
+            argv[k + 1] = rng.choice(_BAD_VALUES)
+        else:
+            argv[k] = rng.choice(_BAD_VALUES)
+    elif roll < 0.7:
+        del argv[rng.randrange(1, len(argv))]
+    elif roll < 0.8:
+        argv.insert(rng.randrange(1, len(argv) + 1), "--bogus")
+    return argv
+
+
+def test_random_argv_never_crashes(capsys, monkeypatch):
+    rng = random.Random(2121)
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        if rng.random() < 0.6:
+            argv = _malformed(rng, argv)
+        for name in _CAPS:
+            if rng.random() < 0.25:
+                monkeypatch.setenv(name, rng.choice(_CAP_VALUES))
+            else:
+                monkeypatch.delenv(name, raising=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv

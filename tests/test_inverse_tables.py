@@ -17,9 +17,15 @@ from braidrep.garside import _signed_normal_form
 from braidrep.laurent import LaurentPoly
 from braidrep.lkb import is_trivial, length_omega, lkb_generator, words_equal
 from braidrep.matrix import mat_inverse
-from braidrep.verify import random_word, rewritten_equivalent
+from braidrep.verify import random_word, rewritten_equivalent, run_suite
 
-TABLE_CACHES = (lkb._generator_rows, lkb.lkb_generator, burau.burau_generator, lkb._generator_mod_p)
+TABLE_CACHES = (
+    lkb._generator_rows,
+    lkb.lkb_generator,
+    burau._generator_rows,
+    burau.burau_generator,
+    lkb._generator_mod_p,
+)
 
 
 @pytest.fixture
@@ -118,3 +124,10 @@ def test_corrupted_hecke_relation_raises(monkeypatch, cold_tables):
     monkeypatch.setattr(burau, "_HECKE_INVERSE", (-u, v))
     with pytest.raises(InternalCheckError):
         burau_generator(3, 1, -1)
+
+
+def test_one_cache_entry_per_burau_table(cold_tables):
+    # three generators of B4 and their inverses
+    run_suite("relations", 4)
+    assert burau._generator_rows.cache_info().currsize == 6
+    assert burau_generator.cache_info().currsize == 6

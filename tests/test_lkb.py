@@ -281,15 +281,22 @@ def test_length_omega_guard(monkeypatch):
     assert length_omega(BraidWord(1)) == 0
 
 
+def _long_word(n: int, length: int, rng: random.Random) -> BraidWord:
+    return BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)))
+
+
 def test_image_mod_p_matches_exact_image():
     rng = random.Random(58)
-    for n in range(2, 8):
-        start = lkb._start_vector(lkb_dim(n))
-        for _ in range(8):
-            w = random_word(n, 8, rng)
-            rows = [[lkb._mod_p(e) for e in row] for row in lkb_of_word(w).entries]
-            expected = tuple(sum(x * y for x, y in zip(row, start)) % lkb._P for row in rows)
-            assert lkb._image_mod_p(w) == expected, (n, w.letters)
+    words = [random_word(n, 8, rng) for n in range(2, 8) for _ in range(8)]
+    # Products along these images have coefficients beyond 10^6, so a ring
+    # kernel that goes wrong only on large integers fails here.
+    rng = random.Random(60)
+    words += [_long_word(n, length, rng) for n, length in ((4, 60), (4, 80), (5, 60), (5, 80))]
+    for w in words:
+        start = lkb._start_vector(lkb_dim(w.n))
+        rows = [[lkb._mod_p(e) for e in row] for row in lkb_of_word(w).entries]
+        expected = tuple(sum(x * y for x, y in zip(row, start)) % lkb._P for row in rows)
+        assert lkb._image_mod_p(w) == expected, (w.n, w.letters)
 
 
 def test_generator_tables_mod_p_are_inverse():
