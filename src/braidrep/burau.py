@@ -6,9 +6,9 @@ the block [[1-t, t], [1, 0]] there.  All matrices live over Laurent
 polynomials in t alone (the first exponent slot stays 0).  Substituting
 t = 1 recovers the permutation matrices of the symmetric group, and the
 whole representation splits off a trivial one-dimensional summand, exposed
-here as the reduced (n-1)-dimensional view.  Generators are kept as sparse
-rows (``_generator_rows``), multiplied like the LKB word images
-(``matrix._word_image``); ``burau_generator`` is their dense view.
+here as the reduced (n-1)-dimensional view.  Each generator and its inverse
+are cached once, by ``burau_generator``; word images multiply their sparse
+rows like the LKB ones (``matrix._word_image``).
 
 This representation is unfaithful from five strands on (Bigelow, Geom.
 Topol. 3, 1999); ``kernel_word_b6`` returns the classical 44-letter
@@ -32,32 +32,26 @@ _HECKE_INVERSE = (LaurentPoly.monomial(1, 0, -1), LaurentPoly({(0, 0): 1, (0, -1
 
 
 @functools.lru_cache(maxsize=None)
-def _generator_rows(n: int, i: int, sign: int) -> tuple:
-    """The i-th generator (sign=+1) or its inverse (sign=-1) as sparse rows;
-    the inverse comes from the Hecke relation and is checked by s * s^-1 = I."""
+def burau_generator(n: int, i: int, sign: int = 1) -> RepMatrix:
+    """Matrix of the i-th generator (sign=+1) or its inverse (sign=-1); the
+    inverse comes from the Hecke relation and is checked by s * s^-1 = I."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if sign == -1:
         u, v = _HECKE_INVERSE
-        return relation_inverse(_generator_rows(n, i, 1), (v, u), "Burau")
+        return relation_inverse(burau_generator(n, i, 1), (v, u), "Burau")
     one = LaurentPoly.one()
     t = LaurentPoly.var_t()
     rows = [((r, one),) for r in range(n)]
     rows[i - 1] = ((i - 1, one - t), (i, t))
     rows[i] = ((i - 1, one),)
-    return tuple(rows)
-
-
-@functools.lru_cache(maxsize=None)
-def burau_generator(n: int, i: int, sign: int = 1) -> RepMatrix:
-    """Matrix of the i-th generator (sign=+1) or its inverse (sign=-1)."""
-    return RepMatrix.from_sparse_rows(_generator_rows(n, i, sign))
+    return RepMatrix.from_sparse_rows(rows)
 
 
 def burau_of_word(word: BraidWord) -> RepMatrix:
-    return _word_image(word.n, word.letters, functools.partial(_generator_rows, word.n))
+    return _word_image(word.n, word.letters, functools.partial(burau_generator, word.n))
 
 
 def kernel_word_b6() -> BraidWord:

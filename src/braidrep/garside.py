@@ -280,7 +280,7 @@ def _t_constant_support(n: int, k: int) -> dict[tuple[int, int], frozenset[tuple
     asserted here.
     """
     from .laurent import LaurentPoly
-    from .lkb import _generator_rows
+    from .lkb import lkb_generator
 
     allowed = {
         LaurentPoly.one(),
@@ -289,7 +289,7 @@ def _t_constant_support(n: int, k: int) -> dict[tuple[int, int], frozenset[tuple
     }
     pairs = refpairs(n)
     support: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    for s_prime, row in zip(pairs, _generator_rows(n, k, 1)):
+    for s_prime, row in zip(pairs, lkb_generator(n, k).sparse_rows):
         cols = []
         for c, entry in row:
             const = entry.t_constant_term()

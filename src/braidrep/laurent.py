@@ -16,8 +16,9 @@ All term collection goes through one private kernel: ``_accumulate`` adds
 (key, coefficient) items into a dict and drops zero sums, and ``_add_product``,
 the only double loop over term pairs, adds x * y into an accumulator that
 ``_collected`` turns into a polynomial.  The sparse-row product
-``matrix._times`` (every matrix product), the elimination in ``matrix`` and
-the W-vector action in ``lkb`` use it too.
+``matrix._times`` (``RepMatrix.__mul__``, the word images and the inverse
+generator tables), the elimination in ``matrix`` and the W-vector action in
+``lkb`` use it too.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ cases depending on how k sits relative to i and j:
     k = j-1 (k > i)  :  x_{i,j-1} + t q^(j-i) (q-1) x_{j-1,j}
     k = j            :  (1-q) x_{i,j} + q x_{i,j+1}
 
-Each generator and its inverse are kept once, as the sparse rows of
-``_generator_rows``: the word images, the dense views ``lkb_generator``, the
-tables mod P, the W-vector action and the Ref action in ``garside`` all read them.
+Each generator and its inverse are cached once, by ``lkb_generator``: the
+word images, the tables mod P, the W-vector action and the Ref action in
+``garside`` all read the sparse rows of that one matrix.
 
 Because the representation is faithful, the image matrix is a complete
 invariant of the braid: triviality, word equality, and the word length with
@@ -96,9 +96,8 @@ _INVERSE_RELATION = (
 
 
 @functools.lru_cache(maxsize=None)
-def _generator_rows(n: int, k: int, sign: int) -> tuple:
-    """sigma_k^(+-1) in the x basis as sparse rows: row r lists its nonzero
-    (column, entry) pairs by column, pairs indexed lexicographically.
+def lkb_generator(n: int, k: int, sign: int = 1) -> RepMatrix:
+    """Matrix of sigma_k^(+-1) in the x basis, columns indexed lexicographically.
 
     The rows of sigma_k transpose the columns of ``_generator_column``.  The
     inverse comes from the cubic relation (s - 1)(s + q)(s - t q^2) = 0,
@@ -111,23 +110,17 @@ def _generator_rows(n: int, k: int, sign: int) -> tuple:
         raise ValueError("sign must be +1 or -1")
     if sign == -1:
         u, a, b = _INVERSE_RELATION
-        return relation_inverse(_generator_rows(n, k, 1), (u * b, u * a, u), "LKB")
+        return relation_inverse(lkb_generator(n, k, 1), (u * b, u * a, u), "LKB")
     index = _pair_index(n)
     rows: list[list] = [[] for _ in index]
     for col, (i, j) in enumerate(index):
         for coeff, target in _generator_column(n, k, i, j):
             rows[index[target]].append((col, coeff))
-    return tuple(map(tuple, rows))
-
-
-@functools.lru_cache(maxsize=None)
-def lkb_generator(n: int, k: int, sign: int = 1) -> RepMatrix:
-    """Matrix of sigma_k^(+-1) in the x basis, columns indexed lexicographically."""
-    return RepMatrix.from_sparse_rows(_generator_rows(n, k, sign))
+    return RepMatrix.from_sparse_rows(rows)
 
 
 def lkb_of_word(word: BraidWord) -> RepMatrix:
-    return _word_image(lkb_dim(word.n), word.letters, functools.partial(_generator_rows, word.n))
+    return _word_image(lkb_dim(word.n), word.letters, functools.partial(lkb_generator, word.n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,7 +170,7 @@ def _generator_mod_p(n: int, k: int, sign: int) -> tuple:
     rows equal to the identity's are left out.
     """
     rows = []
-    for r, row in enumerate(_generator_rows(n, k, sign)):
+    for r, row in enumerate(lkb_generator(n, k, sign).sparse_rows):
         values = tuple((c, x) for c, e in row if (x := _mod_p(e)))
         if values != ((r, 1),):
             rows.append((r, values))
@@ -423,7 +416,7 @@ def apply_positive_word(
     coords = [dict(coord) for coord in vector.coords]
     for e in reversed(word.letters):
         new_coords: list[dict[int, Fraction]] = []
-        for row in _generator_rows(word.n, e, 1):
+        for row in lkb_generator(word.n, e, 1).sparse_rows:
             acc: dict[int, Fraction] = {}
             for c, entry in row:
                 if coord := coords[c]:

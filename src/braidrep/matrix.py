@@ -2,13 +2,14 @@
 Square matrices over exact Laurent polynomials, and the one sparse-row product.
 
 A ``RepMatrix`` is a dense immutable tuple of rows; ``from_sparse_rows`` is
-the one builder that fills in the zeros.  Products run on sparse rows of
-(column, entry) pairs, since generators are mostly identity rows.  ``_times``,
-a sparse row times a matrix given by its sparse rows, is the only product:
-``RepMatrix.__mul__`` applies it to the nonzero entries of each row,
+the one builder that fills in the zeros, and the cached ``sparse_rows`` view
+is the one place that reads the nonzeros back out.  Products run on sparse
+rows of (column, entry) pairs, since generators are mostly identity rows.
+``_times``, a sparse row times a matrix given by its sparse rows, is the only
+product: ``RepMatrix.__mul__`` applies it to the rows of both views,
 ``relation_inverse`` reads a generator's inverse off its characteristic
 relation with it, and ``_word_image`` multiplies sparse rows by each letter's
-cached generator rows and builds the dense matrix once, at the end.  Each
+cached generator matrix and builds the dense matrix once, at the end.  Each
 entry collects its term products in one accumulator of the polynomial kernel.
 One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
 stays inside the Laurent ring, dividing only exactly; the determinant is read
@@ -21,6 +22,7 @@ returning; the tests use ``mat_inverse`` as the oracle of the closed forms.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 from collections import defaultdict
 from collections.abc import Sequence
@@ -71,11 +73,13 @@ class RepMatrix:
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        rows = other._sparse_rows()
-        return RepMatrix.from_sparse_rows([_times(row, rows) for row in self._sparse_rows()])
+        rows = other.sparse_rows
+        return RepMatrix.from_sparse_rows([_times(row, rows) for row in self.sparse_rows])
 
-    def _sparse_rows(self) -> list:
-        return [[(c, e) for c, e in enumerate(row) if e] for row in self.entries]
+    @functools.cached_property
+    def sparse_rows(self) -> tuple:
+        """Row r as the tuple of its nonzero (column, entry) pairs, by column."""
+        return tuple(tuple((c, e) for c, e in enumerate(row) if e) for row in self.entries)
 
     def _entrywise(self, other: "RepMatrix", op) -> "RepMatrix":
         if not isinstance(other, RepMatrix):
@@ -119,7 +123,7 @@ class RepMatrix:
 
     def to_json_obj(self, order: str) -> dict:
         """Wire form: zero entries omitted, 0-based row/col indices."""
-        items = [[r, c, e.to_text()] for r, row in enumerate(self._sparse_rows()) for c, e in row]
+        items = [[r, c, e.to_text()] for r, row in enumerate(self.sparse_rows) for c, e in row]
         return {"dim": self.dim, "order": order, "entries": items}
 
     @classmethod
@@ -142,41 +146,43 @@ def _times(row, rows) -> list:
     return [(c, e) for c, terms in accs.items() if (e := _collected(terms))]
 
 
-def _word_image(dim: int, letters, generator_rows) -> RepMatrix:
-    """The dim x dim product, left to right, of the sparse generator rows
-    generator_rows(abs(e), sign of e) over the letters e; dense only at the end."""
+def _word_image(dim: int, letters, generator) -> RepMatrix:
+    """The dim x dim product, left to right, of the generator matrices
+    generator(abs(e), sign of e) over the letters e, kept as sparse rows and
+    dense only at the end."""
     one = LaurentPoly.one()
     acc = [((r, one),) for r in range(dim)]
     for e in letters:
-        rows = generator_rows(abs(e), 1 if e > 0 else -1)
+        rows = generator(abs(e), 1 if e > 0 else -1).sparse_rows
         acc = [_times(row, rows) for row in acc]
     return RepMatrix.from_sparse_rows(acc)
 
 
-def relation_inverse(rows, coeffs, rep: str) -> tuple:
-    """The sparse rows of s^-1 = sum_k coeffs[k] * s^k, given the sparse rows
-    of s and coeffs from its characteristic relation.
+def relation_inverse(matrix: RepMatrix, coeffs, rep: str) -> RepMatrix:
+    """s^-1 = sum_k coeffs[k] * s^k for the matrix s, given coeffs from its
+    characteristic relation.
 
     Row j of s^-1 is the vector coeffs times the rows j of s^0, s^1, ...
     Raises InternalCheckError, naming rep, unless s * s^-1 = I row by row.
     """
     one = LaurentPoly.one()
+    rows = matrix.sparse_rows
     inverse = []
     for j in range(len(rows)):
         powers = [((j, one),), rows[j]]
         while len(powers) < len(coeffs):
             powers.append(_times(powers[-1], rows))
-        inverse.append(tuple(sorted(_times(enumerate(coeffs), powers))))
+        inverse.append(_times(enumerate(coeffs), powers))
     if any(_times(row, inverse) != [(j, one)] for j, row in enumerate(rows)):
         raise InternalCheckError(f"{rep} inverse table fails sigma * sigma^-1 = I")
-    return tuple(inverse)
+    return RepMatrix.from_sparse_rows(inverse)
 
 
 def t_degree_range(matrix: RepMatrix) -> tuple[int, int]:
     """Smallest and largest exponent of the second variable over all entries."""
     lo: int | None = None
     hi: int | None = None
-    for row in matrix._sparse_rows():
+    for row in matrix.sparse_rows:
         for _, e in row:
             a, b = e.degree_range(1)
             lo = a if lo is None else min(lo, a)

@@ -19,13 +19,7 @@ from braidrep.lkb import is_trivial, length_omega, lkb_generator, words_equal
 from braidrep.matrix import mat_inverse
 from braidrep.verify import random_word, rewritten_equivalent, run_suite
 
-TABLE_CACHES = (
-    lkb._generator_rows,
-    lkb.lkb_generator,
-    burau._generator_rows,
-    burau.burau_generator,
-    lkb._generator_mod_p,
-)
+TABLE_CACHES = (lkb.lkb_generator, burau.burau_generator, lkb._generator_mod_p)
 
 
 @pytest.fixture
@@ -127,7 +121,31 @@ def test_corrupted_hecke_relation_raises(monkeypatch, cold_tables):
 
 
 def test_one_cache_entry_per_burau_table(cold_tables):
-    # three generators of B4 and their inverses
+    # three generators of B4 and their inverses, for each representation
     run_suite("relations", 4)
-    assert burau._generator_rows.cache_info().currsize == 6
     assert burau_generator.cache_info().currsize == 6
+    assert lkb_generator.cache_info().currsize == 6
+
+
+def _lookups(cache) -> int:
+    info = cache.cache_info()
+    return info.hits + info.misses
+
+
+@pytest.mark.parametrize(
+    "image, cache", [(lkb.lkb_of_word, lkb_generator), (burau.burau_of_word, burau_generator)]
+)
+def test_word_images_read_one_generator_table_per_letter(image, cache, cold_tables):
+    # each letter is one lookup in the one table cache; a cold inverse also
+    # looks up its generator, so the signed word runs on built tables
+    rng = random.Random(92)
+    positive = BraidWord(5, tuple(rng.randint(1, 4) for _ in range(12)))
+    signed = random_word(5, 30, rng)
+    before = _lookups(cache)
+    image(positive)
+    assert _lookups(cache) - before == len(positive)
+    for k in range(1, 5):
+        cache(5, k, -1)
+    before = _lookups(cache)
+    image(signed)
+    assert _lookups(cache) - before == len(signed)

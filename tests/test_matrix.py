@@ -198,3 +198,42 @@ def test_product_matches_naive_sum_of_products():
         assert all(0 not in e.terms().values() for row in product.entries for e in row)
         if d >= 2:
             assert not any(product.entries[0]) and not any(product.entries[-1])
+
+
+def _sparse_view_cases():
+    rng = random.Random(19)
+    for _ in range(30):
+        w = random_word(rng.randint(2, 5), rng.randint(0, 12), rng)
+        yield lkb_of_word(w)
+        yield lkb_of_word(w) * lkb_generator(w.n, rng.randint(1, w.n - 1), rng.choice((1, -1)))
+    for _ in range(30):
+        d = rng.randint(1, 5)
+        yield random_matrix(rng, d) * random_matrix(rng, d)
+        # zeros that are not the zero singleton, in every column of the last row
+        rows = [list(row) for row in random_matrix(rng, d).entries]
+        rows[-1] = [e - e for e in rows[-1]]
+        rows[0][rng.randrange(d)] = Q - Q
+        yield RepMatrix.from_rows(rows)
+
+
+def test_sparse_rows_lists_the_nonzero_entries_by_column():
+    seen_unshared_zero = False
+    for m in _sparse_view_cases():
+        assert len(m.sparse_rows) == m.dim
+        for row, sparse in zip(m.entries, m.sparse_rows):
+            cols = [c for c, _ in sparse]
+            assert cols == sorted(set(cols))
+            assert all(e and row[c] is e for c, e in sparse)
+            assert all(not e for c, e in enumerate(row) if c not in cols)
+            seen_unshared_zero |= any(not e and e is not ZERO for e in row)
+        assert RepMatrix.from_sparse_rows(m.sparse_rows) == m
+    assert seen_unshared_zero
+
+
+def test_json_entries_in_any_order_give_the_same_wire_form():
+    rng = random.Random(20)
+    for m in _sparse_view_cases():
+        text = json.dumps(m.to_json_obj("lex-refpair"))
+        obj = json.loads(text)
+        rng.shuffle(obj["entries"])
+        assert json.dumps(RepMatrix.from_json_obj(obj).to_json_obj("lex-refpair")) == text
