@@ -69,23 +69,20 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+def _answer(yes: bool, yes_text: str, no_text: str) -> int:
+    print(yes_text if yes else no_text)
+    return 0 if yes else 1
+
+
 def _cmd_trivial(args) -> int:
     word = _parse_word(args.n, args.word)
-    if is_trivial(word):
-        print("trivial (LKB)")
-        return 0
-    print("nontrivial (LKB)")
-    return 1
+    return _answer(is_trivial(word), "trivial (LKB)", "nontrivial (LKB)")
 
 
 def _cmd_equal(args) -> int:
     a = _parse_word(args.n, args.w1)
     b = _parse_word(args.n, args.w2)
-    if words_equal(a, b):
-        print("equal (LKB)")
-        return 0
-    print("not equal (LKB)")
-    return 1
+    return _answer(words_equal(a, b), "equal (LKB)", "not equal (LKB)")
 
 
 def _cmd_normal_form(args) -> int:

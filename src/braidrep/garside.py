@@ -289,7 +289,7 @@ def _t_constant_support(n: int, k: int) -> dict[tuple[int, int], frozenset[tuple
     }
     pairs = refpairs(n)
     support: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    for s_prime, row in zip(pairs, lkb_generator(n, k).sparse_rows):
+    for s_prime, row in zip(pairs, lkb_generator(n, k, 1).sparse_rows):
         cols = []
         for c, entry in row:
             const = entry.t_constant_term()

@@ -23,18 +23,20 @@ Because the representation is faithful, the image matrix is a complete
 invariant of the braid: triviality, word equality, and the word length with
 respect to the simple elements and their inverses are all decided here.
 
-``is_trivial`` and ``words_equal`` ask two exact engines and answer only
-when they agree.  The first applies the words to one fixed vector with the
+One rule decides the word problem: ``words_equal`` asks two exact engines
+and answers only when they agree, and ``is_trivial`` is equality with the
+empty word.  The first engine applies the words to one fixed vector with the
 generators evaluated at a fixed point (q, t) modulo the prime
 P = 2^61 - 1, which costs O(length * nonzeros) and builds no matrix.
 Evaluation is a ring homomorphism, so a difference there proves "no"
 exactly (cf. J. T. Schwartz, J. ACM 27, 1980).  The second is the signed
 Garside normal form Delta^p A_1 ... A_k (``garside``), a complete invariant
-whose equality proves "yes".  Exact LKB images are built only when mod P
-agrees and the normal forms differ; a disagreement that survives them
-raises ``InternalCheckError``.  There, in ``length_omega`` and in the CLI's
-``matrix`` (either rep), only words of at most BRAIDREP_MAX_EXACT_LETTERS
-letters get an exact image (``ResourceGuardError`` beyond).
+whose equality proves "yes".  Exact LKB images of both words are built
+only when mod P agrees and the normal forms differ; a disagreement that
+survives them raises ``InternalCheckError``.  There, in ``length_omega``
+and in the CLI's ``matrix`` (either rep), only words of at most
+BRAIDREP_MAX_EXACT_LETTERS letters get an exact image
+(``ResourceGuardError`` beyond).
 """
 
 from __future__ import annotations
@@ -226,18 +228,21 @@ def _guard_exact_images(*words: BraidWord, rep: str = "LKB") -> None:
         )
 
 
-def _two_engines(mod_p_equal: bool, nf_equal: bool, words, exact_equal) -> bool:
-    """Equality as decided by both exact engines, raised on disagreement.
+def _same_braid(a: BraidWord, b: BraidWord) -> bool:
+    """The one word-problem rule, for two words on the same strands.
 
-    Images that differ mod P prove "no"; equal Garside normal forms prove
-    "yes".  When mod P agrees but the normal forms differ (a collision mod P,
-    or a fault), exact_equal of the words' exact images settles it.  Those
-    are built only for words within ``_guard_exact_images``.
+    Images that differ mod P prove "no"; equal signed Garside normal forms
+    prove "yes".  When mod P agrees but the normal forms differ (a collision
+    mod P, or a fault), the exact images of both words settle it, within
+    ``_guard_exact_images``.  A disagreement left raises
+    ``InternalCheckError``.
     """
-    if mod_p_equal and not nf_equal:
-        _guard_exact_images(*words)
-        mod_p_equal = exact_equal(*[lkb_of_word(w) for w in words])
-    if mod_p_equal != nf_equal:
+    images_equal = _image_mod_p(a) == _image_mod_p(b)
+    nf_equal = _signed_normal_form(a) == _signed_normal_form(b)
+    if images_equal and not nf_equal:
+        _guard_exact_images(a, b)
+        images_equal = lkb_of_word(a) == lkb_of_word(b)
+    if images_equal != nf_equal:
         raise InternalCheckError("LKB images and Garside normal forms disagree")
     return nf_equal
 
@@ -245,33 +250,21 @@ def _two_engines(mod_p_equal: bool, nf_equal: bool, words, exact_equal) -> bool:
 def is_trivial(word: BraidWord) -> bool:
     """Whether the word represents the identity braid.
 
-    Two exact engines must agree: a start vector moved mod P proves "no",
-    and the signed Garside normal form (0, ()) proves "yes".  The exact image
-    is built only when mod P agrees and the normal form does not.
+    Triviality is equality with the empty word, decided as in
+    ``words_equal``; a collision mod P builds the images of both words.
     """
-    return _two_engines(
-        _image_mod_p(word) == _start_vector(lkb_dim(word.n)),
-        _signed_normal_form(word) == (0, ()),
-        (word,),
-        RepMatrix.is_identity,
-    )
+    return _same_braid(word, BraidWord(word.n))
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
     """Whether two words represent the same braid.
 
-    Images that differ mod P prove "no", and equal signed Garside normal
-    forms prove "yes".  The exact images are built only when mod P agrees
-    and the normal forms do not.
+    Images that differ mod P prove "no", equal signed Garside normal forms
+    prove "yes", and the exact images of both words settle a collision mod P.
     """
     if a.n != b.n:
         raise ValueError(f"strand count mismatch: {a.n} vs {b.n}")
-    return _two_engines(
-        _image_mod_p(a) == _image_mod_p(b),
-        _signed_normal_form(a) == _signed_normal_form(b),
-        (a, b),
-        RepMatrix.__eq__,
-    )
+    return _same_braid(a, b)
 
 
 def length_omega(word: BraidWord) -> int:

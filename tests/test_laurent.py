@@ -84,6 +84,13 @@ def test_subst_monomial_examples():
     assert (Q**2).subst_monomial(q_to, t_to) == LaurentPoly.monomial(1, -4, 0)
 
 
+def test_subst_monomial_negative_second_variable():
+    # q -> v, t -> -u: odd powers of t change the sign, even ones do not
+    q_to, t_to = (1, 0, 1), (-1, 1, 0)
+    assert (Q * T**3).subst_monomial(q_to, t_to) == LaurentPoly.monomial(-1, 3, 1)
+    assert (Q * T**-2).subst_monomial(q_to, t_to) == LaurentPoly.monomial(1, -2, 1)
+
+
 def test_subst_monomial_is_ring_homomorphism():
     rng = random.Random(303)
     q_to, t_to = (-1, -2, 0), (1, 3, -1)

@@ -76,6 +76,8 @@ def test_generator_bounds():
         lkb_generator(4, 0)
     with pytest.raises(ValueError):
         lkb_generator(4, 4)
+    with pytest.raises(ValueError, match="^sign must be \\+1 or -1$"):
+        lkb_generator(4, 1, 0)
 
 
 def test_braid_relations():
@@ -217,10 +219,24 @@ def test_mod_p_collision_is_settled_by_exact_images(monkeypatch):
     monkeypatch.setattr(lkb, "lkb_of_word", lambda word: built.append(word) or real(word))
     assert not is_trivial(BraidWord(3, (1, 2)))
     assert not words_equal(BraidWord(3, (1,)), BraidWord(3, (2,)))
-    assert len(built) == 3
+    assert len(built) == 4
     assert is_trivial(BraidWord(3, (1, -1)))
     assert words_equal(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
-    assert len(built) == 3
+    assert len(built) == 4
+
+
+def test_exact_fallback_refuses_before_building(monkeypatch):
+    # the guard runs before any exact image: a 3-letter word under a cap of 2
+    # is refused without a call to lkb_of_word
+    built = []
+    monkeypatch.setattr(lkb, "_image_mod_p", lambda w: lkb._start_vector(lkb_dim(w.n)))
+    monkeypatch.setattr(lkb, "lkb_of_word", built.append)
+    monkeypatch.setenv("BRAIDREP_MAX_EXACT_LETTERS", "2")
+    with pytest.raises(ResourceGuardError):
+        is_trivial(BraidWord(3, (1, 2, 1)))
+    with pytest.raises(ResourceGuardError):
+        words_equal(BraidWord(3, (1, 2)), BraidWord(3, (2, 1, 2)))
+    assert built == []
 
 
 def test_exact_fallback_is_guarded(monkeypatch, capsys):

@@ -5,7 +5,9 @@ import pytest
 
 from braidrep import lkb, verify
 from braidrep.cli import main
-from braidrep.lkb import words_equal
+from braidrep.laurent import LaurentPoly
+from braidrep.lkb import lkb_dim, words_equal
+from braidrep.matrix import RepMatrix
 from braidrep.verify import SUITES, random_word, rewritten_equivalent, run_suite, suite_burau_kernel
 
 
@@ -77,3 +79,32 @@ def test_combined_suite_order(n, counts):
     ]
     assert blocks == list(zip(SUITES[:-1], counts))
     assert all(r.ok for r in results)
+
+
+@pytest.mark.parametrize(
+    "suite, failed",
+    [
+        (
+            "garside",
+            [
+                "normal-form equality matches LKB equality",
+                "positive fraction w == x y^-1 verified by LKB",
+            ],
+        ),
+        ("lkb-positivity", ["positive-word entries have nonnegative t-constant terms"]),
+    ],
+)
+def test_failed_checks_exit_4(monkeypatch, capsys, suite, failed):
+    # -2 I is no braid image: every pair of words gets it, it squares to 4 I,
+    # and its t-constant term is negative
+    minus_two = LaurentPoly.monomial(-2, 0, 0)
+    monkeypatch.setattr(
+        verify, "lkb_of_word", lambda word: RepMatrix.scalar(lkb_dim(word.n), minus_two)
+    )
+    code = main(["verify", "--suite", suite, "--n", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert [line[len("FAIL: "):] for line in lines if line.startswith("FAIL: ")] == failed
+    checks = len(lines) - 1
+    assert lines[-1] == f"{checks - len(failed)}/{checks} checks passed"
+    assert checks > len(failed)
