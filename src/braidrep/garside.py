@@ -20,9 +20,7 @@ this module provides
   A_k a starting generator which A_(k-1) can take, one step that
   left-weights a pair of simples in place (also behind ``simple_head``)
   runs on the pairs from the right,
-- the greatest-braid map GB from half-permutations to simples,
-- the induced monoid action of positive words on subsets of Ref, read off
-  the t-constant terms of the LKB generator matrices, and
+- the greatest-braid map GB from half-permutations to simples, and
 - the decomposition of an arbitrary word as x * y^-1 with x, y positive.
 """
 
@@ -31,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 import random
 from typing import Iterable, Iterator
 
@@ -215,7 +214,14 @@ def half_permutation_to_json(pairs: frozenset[tuple[int, int]]) -> list[list[int
 
 
 def half_permutation_from_json(obj) -> frozenset[tuple[int, int]]:
-    return frozenset((int(i), int(j)) for i, j in obj)
+    """Read the wire form back; ValueError unless each entry is an int pair 1 <= i < j."""
+    try:
+        pairs = frozenset((operator.index(i), operator.index(j)) for i, j in obj)
+    except TypeError:
+        raise ValueError("half-permutation entries must be pairs of integers") from None
+    if not all(1 <= i < j for i, j in pairs):
+        raise ValueError("half-permutation entries must be pairs 1 <= i < j")
+    return pairs
 
 
 def random_half_permutation(n: int, rng: random.Random) -> frozenset[tuple[int, int]]:
@@ -265,67 +271,6 @@ def gb_oracle(n: int, pairs: Iterable[tuple[int, int]]) -> Permutation:
         if not inv <= best_set:
             raise InternalCheckError("no greatest inversion subset: incomparable maxima")
     return best
-
-
-# -- the action of positive words on subsets of Ref ---------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _t_constant_support(n: int, k: int) -> dict[tuple[int, int], frozenset[tuple[int, int]]]:
-    """For each row pair s', the column pairs s whose matrix entry has a
-    nonzero t-constant term in the LKB generator matrix of sigma_k.
-
-    Every nonzero constant term is one of 1, q, 1-q, hence positive for all
-    q in (0, 1); this makes the induced set map independent of q, which is
-    asserted here.
-    """
-    from .laurent import LaurentPoly
-    from .lkb import lkb_generator
-
-    allowed = {
-        LaurentPoly.one(),
-        LaurentPoly.var_q(),
-        LaurentPoly.one() - LaurentPoly.var_q(),
-    }
-    pairs = refpairs(n)
-    support: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    for s_prime, row in zip(pairs, lkb_generator(n, k, 1).sparse_rows):
-        cols = []
-        for c, entry in row:
-            const = entry.t_constant_term()
-            if const:
-                if const not in allowed:
-                    raise InternalCheckError(
-                        f"unexpected t-constant term {const.pretty()} in generator table"
-                    )
-                cols.append(pairs[c])
-        support[s_prime] = frozenset(cols)
-    return support
-
-
-def generator_action(
-    n: int, k: int, pairs: frozenset[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    """Image of a subset of Ref under the generator sigma_k.
-
-    A pair s' survives exactly when every pair contributing a positive
-    t-constant term to row s' already lies in the input set.
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"generator index {k} out of range for n={n}")
-    support = _t_constant_support(n, k)
-    return frozenset(s for s, cols in support.items() if cols <= pairs)
-
-
-def positive_action(
-    word: BraidWord, pairs: frozenset[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    """Monoid action of a positive word, rightmost letter acting first."""
-    if not word.is_positive:
-        raise ValueError("the Ref action is defined for positive words only")
-    for e in reversed(word.letters):
-        pairs = generator_action(word.n, e, pairs)
-    return pairs
 
 
 # -- positive fractions --------------------------------------------------------

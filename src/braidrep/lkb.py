@@ -16,8 +16,8 @@ cases depending on how k sits relative to i and j:
     k = j            :  (1-q) x_{i,j} + q x_{i,j+1}
 
 Each generator and its inverse are cached once, by ``lkb_generator``: the
-word images, the tables mod P, the W-vector action and the Ref action in
-``garside`` all read the sparse rows of that one matrix.
+word images, the tables mod P, and the actions on W and on subsets of Ref
+below all read the sparse rows of that one matrix.
 
 Because the representation is faithful, the image matrix is a complete
 invariant of the braid: triviality, word equality, and the word length with
@@ -344,7 +344,7 @@ def omega_ball_oracle(
     return found
 
 
-# -- membership classes of the module lattice ---------------------------------
+# -- membership classes of the module lattice and the Ref action -------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -418,3 +418,54 @@ def apply_positive_word(
             new_coords.append(acc)
         coords = new_coords
     return WVector.from_maps(word.n, coords)
+
+
+@functools.lru_cache(maxsize=None)
+def _t_constant_support(n: int, k: int) -> dict[tuple[int, int], frozenset[tuple[int, int]]]:
+    """For each row pair s', the column pairs s whose matrix entry has a
+    nonzero t-constant term in the LKB generator matrix of sigma_k.
+
+    Every nonzero constant term is one of 1, q, 1-q, hence positive for all
+    q in (0, 1); this makes the induced set map independent of q, which is
+    asserted here.
+    """
+    rows = lkb_generator(n, k, 1).sparse_rows  # checks k before refpairs(n) is built
+    q = LaurentPoly.var_q()
+    allowed = {LaurentPoly.one(), q, 1 - q}
+    pairs = refpairs(n)
+    support: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
+    for s_prime, row in zip(pairs, rows):
+        cols = []
+        for c, entry in row:
+            const = entry.t_constant_term()
+            if const:
+                if const not in allowed:
+                    raise InternalCheckError(
+                        f"unexpected t-constant term {const.pretty()} in generator table"
+                    )
+                cols.append(pairs[c])
+        support[s_prime] = frozenset(cols)
+    return support
+
+
+def generator_action(
+    n: int, k: int, pairs: frozenset[tuple[int, int]]
+) -> frozenset[tuple[int, int]]:
+    """Image of a subset of Ref under the generator sigma_k.
+
+    A pair s' survives exactly when every pair contributing a positive
+    t-constant term to row s' already lies in the input set.  An index k
+    outside 1..n-1 raises ValueError from ``lkb_generator``.
+    """
+    return frozenset(s for s, cols in _t_constant_support(n, k).items() if cols <= pairs)
+
+
+def positive_action(
+    word: BraidWord, pairs: frozenset[tuple[int, int]]
+) -> frozenset[tuple[int, int]]:
+    """Monoid action of a positive word, rightmost letter acting first."""
+    if not word.is_positive:
+        raise ValueError("the Ref action is defined for positive words only")
+    for e in reversed(word.letters):
+        pairs = generator_action(word.n, e, pairs)
+    return pairs

@@ -128,13 +128,21 @@ class RepMatrix:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RepMatrix":
-        dim = int(obj["dim"])
-        rows: list[list] = [[] for _ in range(dim)]
-        for r, c, text in obj["entries"]:
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValueError(f"entry index ({r}, {c}) out of range for dimension {dim}")
-            rows[r].append((c, LaurentPoly.from_text(text)))
-        return cls.from_sparse_rows(rows)
+        """Read the wire form back; ValueError unless the dimension and indices
+        are ints, 0 <= row, col < dim, and no (row, col) repeats."""
+        try:
+            dim = operator.index(obj["dim"])
+            cells = [(operator.index(r), operator.index(c), text) for r, c, text in obj["entries"]]
+        except TypeError:
+            raise ValueError("matrix dimension and entry indices must be integers") from None
+        if dim < 0:
+            raise ValueError(f"matrix dimension {dim} is negative")
+        rows: list[dict] = [{} for _ in range(dim)]
+        for r, c, text in cells:
+            if not (0 <= r < dim and 0 <= c < dim) or c in rows[r]:
+                raise ValueError(f"entry ({r}, {c}) repeats or is out of range for dimension {dim}")
+            rows[r][c] = LaurentPoly.from_text(text)
+        return cls.from_sparse_rows([row.items() for row in rows])
 
 
 def _times(row, rows) -> list:
@@ -180,16 +188,10 @@ def relation_inverse(matrix: RepMatrix, coeffs, rep: str) -> RepMatrix:
 
 def t_degree_range(matrix: RepMatrix) -> tuple[int, int]:
     """Smallest and largest exponent of the second variable over all entries."""
-    lo: int | None = None
-    hi: int | None = None
-    for row in matrix.sparse_rows:
-        for _, e in row:
-            a, b = e.degree_range(1)
-            lo = a if lo is None else min(lo, a)
-            hi = b if hi is None else max(hi, b)
-    if lo is None or hi is None:
+    ranges = [e.degree_range(1) for row in matrix.sparse_rows for _, e in row]
+    if not ranges:
         raise ValueError("t-degree range of the zero matrix is undefined")
-    return lo, hi
+    return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
 
 
 def _eliminate(

@@ -22,10 +22,8 @@ from braidrep.garside import (
     all_half_permutations,
     gb,
     gb_oracle,
-    generator_action,
     greedy_normal_form,
     lf_positive,
-    positive_action,
     positive_fraction,
     random_half_permutation,
     simple_head,
@@ -34,10 +32,12 @@ from braidrep.laurent import LaurentPoly
 from braidrep.lkb import (
     apply_positive_word,
     basis_change_v_of_x,
+    generator_action,
     is_trivial,
     length_omega,
     lkb_of_word,
     omega_ball_oracle,
+    positive_action,
     w_class,
     words_equal,
 )

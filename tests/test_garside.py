@@ -12,18 +12,24 @@ from braidrep.garside import (
     all_half_permutations,
     gb,
     gb_oracle,
-    generator_action,
     greedy_normal_form,
     half_permutation_from_json,
     half_permutation_to_json,
     is_half_permutation,
     lf_positive,
-    positive_action,
     positive_fraction,
     random_half_permutation,
     simple_head,
 )
-from braidrep.lkb import _image_mod_p, length_omega, lkb_generator, lkb_of_word
+from braidrep.lkb import (
+    _image_mod_p,
+    _t_constant_support,
+    generator_action,
+    length_omega,
+    lkb_generator,
+    lkb_of_word,
+    positive_action,
+)
 from braidrep.matrix import t_degree_range
 from braidrep.verify import random_positive_word, random_word, rewritten_equivalent
 
@@ -497,7 +503,7 @@ def test_t_constant_support_matches_the_dense_generator():
                 s_prime: frozenset(s for s, e in zip(pairs, row) if e.t_constant_term())
                 for s_prime, row in zip(pairs, lkb_generator(n, k).entries)
             }
-            assert garside._t_constant_support(n, k) == expected, (n, k)
+            assert _t_constant_support(n, k) == expected, (n, k)
 
 
 def test_half_permutation_predicate():
@@ -520,6 +526,12 @@ def test_half_permutation_json():
         [1, 3],
         [2, 3],
     ]
+
+
+@pytest.mark.parametrize("obj", [[[2, 1]], [[0, 1]], [[-3, -1]], [[1, 1]], [[1.9, 2]], [[1, 2.0]]])
+def test_half_permutation_json_rejects_non_pairs(obj):
+    with pytest.raises(ValueError):
+        half_permutation_from_json(obj)
 
 
 def test_half_permutation_counts():

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from braidrep import burau, cli, garside, lkb, matrix
+from braidrep import burau, cli, lkb, matrix
 from braidrep.braid import BraidWord
 from braidrep.burau import burau_generator
 from braidrep.errors import InternalCheckError
@@ -130,7 +130,7 @@ def test_one_cache_entry_per_burau_table(cold_tables):
 def test_one_cache_entry_per_lkb_table_in_the_ref_and_w_actions(cold_tables):
     # the Ref action (garside suite), the W action (lkb-positivity suite) and
     # the word images read the same six tables of B4
-    garside._t_constant_support.cache_clear()
+    lkb._t_constant_support.cache_clear()
     run_suite("garside", 4)
     run_suite("lkb-positivity", 4)
     assert lkb_generator.cache_info().currsize == 6

@@ -8,7 +8,7 @@ import pytest
 from braidrep import cli, lkb
 from braidrep.braid import BraidWord, Permutation, refpairs
 from braidrep.errors import InternalCheckError, ResourceGuardError
-from braidrep.garside import positive_action, random_half_permutation
+from braidrep.garside import random_half_permutation
 from braidrep.laurent import LaurentPoly
 from braidrep.lkb import (
     WVector,
@@ -21,6 +21,7 @@ from braidrep.lkb import (
     lkb_generator,
     lkb_of_word,
     omega_ball_oracle,
+    positive_action,
     w_class,
     words_equal,
 )

@@ -169,6 +169,22 @@ def test_json_rejects_out_of_range_indices():
             RepMatrix.from_json_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "dim, entries",
+    [
+        (-2, []),
+        (2.7, []),
+        ("2", []),
+        (2, [[0, 0, "1*q^0*t^0"], [0, 0, "2*q^0*t^0"]]),
+        (2, [[0.0, 0, "1*q^0*t^0"]]),
+        (2, [[0, 1.0, "1*q^0*t^0"]]),
+    ],
+)
+def test_json_rejects_malformed_dimension_and_entries(dim, entries):
+    with pytest.raises(ValueError):
+        RepMatrix.from_json_obj({"dim": dim, "order": "strand", "entries": entries})
+
+
 def _naive_product(x: RepMatrix, y: RepMatrix) -> tuple[tuple[LaurentPoly, ...], ...]:
     d = x.dim
     return tuple(
