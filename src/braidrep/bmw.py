@@ -23,19 +23,21 @@ here over Z[a^{+-1}, l^{+-1}] with denominators cleared.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Iterator
 
-from .errors import ResourceGuardError
+from .errors import Frozen, ResourceGuardError
 from .laurent import LaurentPoly
 from .lkb import lkb_dim, lkb_generator
 from .matrix import RepMatrix
 
 
-@dataclasses.dataclass(frozen=True)
-class YoungDiagram:
-    rows: tuple[int, ...]
+class YoungDiagram(Frozen):
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple[int, ...]):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         for r, length in enumerate(self.rows):
@@ -184,17 +186,21 @@ _Q_TO = (-1, -2, 0)
 _T_TO = (1, 3, -1)
 
 
-@dataclasses.dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    holds: bool
-    required: bool
+class RelationCheck(Frozen):
+    _fields = ("name", "holds", "required")
+
+    def __init__(self, name: str, holds: bool, required: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "required", required)
 
 
-@dataclasses.dataclass(frozen=True)
-class BMWReport:
-    n: int
-    checks: tuple[RelationCheck, ...]
+class BMWReport(Frozen):
+    _fields = ("n", "checks")
+
+    def __init__(self, n: int, checks: tuple[RelationCheck, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

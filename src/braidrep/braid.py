@@ -12,10 +12,11 @@ up inversion sets are 1-based throughout, matching the generator numbering.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from typing import Iterable, Iterator
+
+from .errors import Frozen
 
 
 _INT_TYPES = frozenset((int, bool))
@@ -29,10 +30,13 @@ def _fast_letters(n) -> frozenset[int]:
     return frozenset(e for e in range(-64, 65) if e and abs(e) <= n - 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class BraidWord:
-    n: int
-    letters: tuple[int, ...] = ()
+class BraidWord(Frozen):
+    _fields = ("n", "letters")
+
+    def __init__(self, n: int, letters: tuple[int, ...] = ()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1:
@@ -96,11 +100,14 @@ class BraidWord:
         return cls(n, letters)
 
 
-@dataclasses.dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection of {1, ..., n} stored as the 0-based image tuple."""
 
-    image: tuple[int, ...]
+    _fields = ("image",)
+
+    def __init__(self, image: tuple[int, ...]):
+        object.__setattr__(self, "image", image)
+        self.__post_init__()
 
     def __post_init__(self):
         if sorted(self.image) != list(range(len(self.image))):

@@ -18,7 +18,6 @@ formats are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bmw import YoungDiagram, bratteli_dim, level_diagrams
@@ -49,6 +48,8 @@ def _parse_word(n: int, text: str) -> BraidWord:
 
 def _print_matrix(matrix, fmt: str, order: str) -> None:
     if fmt == "json":
+        import json  # only this branch uses it, so no other request pays for its import
+
         print(json.dumps(matrix.to_json_obj(order)))
         return
     cells = [[e.pretty() for e in row] for row in matrix.entries]

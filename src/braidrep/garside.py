@@ -26,15 +26,13 @@ this module provides
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
-import operator
 import random
 from typing import Iterable, Iterator
 
 from .braid import BraidWord, Permutation, all_permutations, permutation_from_inversions, refpairs
-from .errors import InternalCheckError
+from .errors import Frozen, InternalCheckError, wire_index
 
 
 def _left_weight(u: list[int], v: list[int]) -> bool:
@@ -84,16 +82,18 @@ def lf_positive(word: BraidWord) -> Permutation:
     return (greedy_normal_form(word).factors or (Permutation.identity(word.n),))[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Frozen):
     """Left-weighted sequence of non-identity simples.
 
     Two positive words represent the same braid iff their normal forms are
     identical.
     """
 
-    n: int
-    factors: tuple[Permutation, ...]
+    _fields = ("n", "factors")
+
+    def __init__(self, n: int, factors: tuple[Permutation, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
 
     def is_trivial(self) -> bool:
         return not self.factors
@@ -216,7 +216,7 @@ def half_permutation_to_json(pairs: frozenset[tuple[int, int]]) -> list[list[int
 def half_permutation_from_json(obj) -> frozenset[tuple[int, int]]:
     """Read the wire form back; ValueError unless each entry is an int pair 1 <= i < j."""
     try:
-        pairs = frozenset((operator.index(i), operator.index(j)) for i, j in obj)
+        pairs = frozenset((wire_index(i), wire_index(j)) for i, j in obj)
     except TypeError:
         raise ValueError("half-permutation entries must be pairs of integers") from None
     if not all(1 <= i < j for i, j in pairs):

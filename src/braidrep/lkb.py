@@ -41,13 +41,12 @@ BRAIDREP_MAX_EXACT_LETTERS letters get an exact image
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 from fractions import Fraction
 
 from .braid import BraidWord, all_permutations, refpairs
-from .errors import InternalCheckError, ResourceGuardError
+from .errors import Frozen, InternalCheckError, ResourceGuardError
 from .garside import _signed_normal_form
 from .laurent import LaurentPoly, _accumulate
 from .matrix import RepMatrix, _word_image, relation_inverse, t_degree_range
@@ -347,16 +346,19 @@ def omega_ball_oracle(
 # -- membership classes of the module lattice and the Ref action -------------
 
 
-@dataclasses.dataclass(frozen=True)
-class WVector:
+class WVector(Frozen):
     """Vector with polynomial-in-t coordinates over exact rationals, q fixed.
 
     Coordinates follow the lexicographic pair order.  Each coordinate is a
     tuple of (t-exponent, coefficient) pairs with nonnegative exponents.
     """
 
-    n: int
-    coords: tuple[tuple[tuple[int, Fraction], ...], ...]
+    _fields = ("n", "coords")
+
+    def __init__(self, n: int, coords: tuple[tuple[tuple[int, Fraction], ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coords) != lkb_dim(self.n):

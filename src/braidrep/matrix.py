@@ -21,19 +21,21 @@ returning; the tests use ``mat_inverse`` as the oracle of the closed forms.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
 from collections import defaultdict
 from collections.abc import Sequence
 
-from .errors import InternalCheckError
+from .errors import Frozen, InternalCheckError, wire_index
 from .laurent import LaurentPoly, _add_product, _collected, divide_exact
 
 
-@dataclasses.dataclass(frozen=True)
-class RepMatrix:
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+class RepMatrix(Frozen):
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[LaurentPoly, ...], ...]):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         d = len(self.entries)
@@ -128,11 +130,14 @@ class RepMatrix:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RepMatrix":
-        """Read the wire form back; ValueError unless the dimension and indices
-        are ints, 0 <= row, col < dim, and no (row, col) repeats."""
+        """Read the wire form back; ValueError unless "dim" and "entries" are
+        present, the dimension and indices are ints (not booleans), 0 <= row,
+        col < dim, no (row, col) repeats, and each polynomial is a string."""
         try:
-            dim = operator.index(obj["dim"])
-            cells = [(operator.index(r), operator.index(c), text) for r, c, text in obj["entries"]]
+            dim = wire_index(obj["dim"])
+            cells = [(wire_index(r), wire_index(c), text) for r, c, text in obj["entries"]]
+        except KeyError as missing:
+            raise ValueError(f"matrix object has no {missing} key") from None
         except TypeError:
             raise ValueError("matrix dimension and entry indices must be integers") from None
         if dim < 0:
@@ -141,6 +146,8 @@ class RepMatrix:
         for r, c, text in cells:
             if not (0 <= r < dim and 0 <= c < dim) or c in rows[r]:
                 raise ValueError(f"entry ({r}, {c}) repeats or is out of range for dimension {dim}")
+            if not isinstance(text, str):
+                raise ValueError(f"entry ({r}, {c}) polynomial {text!r} is not a string")
             rows[r][c] = LaurentPoly.from_text(text)
         return cls.from_sparse_rows([row.items() for row in rows])
 

@@ -13,7 +13,6 @@ it exactly (evaluation is a ring homomorphism), with no exact LKB image.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from .burau import (
     kernel_word_b6,
     permutation_matrix,
 )
-from .errors import ResourceGuardError
+from .errors import Frozen, ResourceGuardError
 from .garside import (
     all_half_permutations,
     gb,
@@ -54,10 +53,12 @@ from .lkb import (
 from .matrix import RepMatrix, mat_det
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
+class CheckResult(Frozen):
+    _fields = ("name", "ok")
+
+    def __init__(self, name: str, ok: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
 
 
 def random_positive_word(n: int, max_len: int, rng: random.Random) -> BraidWord:

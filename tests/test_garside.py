@@ -528,7 +528,9 @@ def test_half_permutation_json():
     ]
 
 
-@pytest.mark.parametrize("obj", [[[2, 1]], [[0, 1]], [[-3, -1]], [[1, 1]], [[1.9, 2]], [[1, 2.0]]])
+@pytest.mark.parametrize(
+    "obj", [[[2, 1]], [[0, 1]], [[-3, -1]], [[1, 1]], [[1.9, 2]], [[1, 2.0]], [[True, 2]]]
+)
 def test_half_permutation_json_rejects_non_pairs(obj):
     with pytest.raises(ValueError):
         half_permutation_from_json(obj)

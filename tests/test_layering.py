@@ -1,8 +1,11 @@
 """The package's modules form layers: every intra-package import sits at
-module level, and the import graph between modules has no cycle."""
+module level, and the import graph between modules has no cycle.  Importing
+the CLI pulls in no standard-library module that no cold request needs."""
 
 import ast
 import graphlib
+import subprocess
+import sys
 from pathlib import Path
 
 import braidrep
@@ -49,3 +52,16 @@ def test_intra_package_imports_are_acyclic():
     list(graphlib.TopologicalSorter(graph).static_order())
     # the normal forms sit below the representations they are checked against
     assert graph["garside"].isdisjoint({"laurent", "matrix", "lkb"})
+
+
+def test_cold_cli_import_loads_no_dataclasses_or_json():
+    # counted in modules, not milliseconds, so a slow host cannot flake it;
+    # -S keeps site-packages (and what it imports) out of the count
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import braidrep.cli; print(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = set(done.stdout.split())
+    assert "braidrep.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "json"})

@@ -178,11 +178,21 @@ def test_json_rejects_out_of_range_indices():
         (2, [[0, 0, "1*q^0*t^0"], [0, 0, "2*q^0*t^0"]]),
         (2, [[0.0, 0, "1*q^0*t^0"]]),
         (2, [[0, 1.0, "1*q^0*t^0"]]),
+        (True, []),
+        (2, [[True, 0, "1*q^0*t^0"]]),
+        (2, [[0, 0, 5]]),
+        (2, [[0, 0, ["1*q^0*t^0"]]]),
     ],
 )
 def test_json_rejects_malformed_dimension_and_entries(dim, entries):
     with pytest.raises(ValueError):
         RepMatrix.from_json_obj({"dim": dim, "order": "strand", "entries": entries})
+
+
+@pytest.mark.parametrize("obj", [{"entries": []}, {"dim": 2, "order": "strand"}])
+def test_json_rejects_a_missing_key(obj):
+    with pytest.raises(ValueError, match="no '(dim|entries)' key"):
+        RepMatrix.from_json_obj(obj)
 
 
 def _naive_product(x: RepMatrix, y: RepMatrix) -> tuple[tuple[LaurentPoly, ...], ...]:
