@@ -8,9 +8,16 @@ rows of (column, entry) pairs, since generators are mostly identity rows.
 ``_times``, a sparse row times a matrix given by its sparse rows, is the only
 product: ``RepMatrix.__mul__`` applies it to the rows of both views,
 ``relation_inverse`` reads a generator's inverse off its characteristic
-relation with it, and ``_word_image`` multiplies sparse rows by each letter's
-cached generator matrix and builds the dense matrix once, at the end.  Each
-entry collects its term products in one accumulator of the polynomial kernel.
+relation with it, and ``_word_image`` builds a word's image right to left,
+acc = G * acc for each letter's cached generator matrix G, and the dense
+matrix once, at the end.  A row of G whose only entry is a 1 reuses a row
+object of acc with no product (the identity's row r keeps acc's row r); the
+cached ``row_plan`` of G lists the other unit rows and the rows that run
+``_times``, with G's small entries as the outer factor.  Each entry
+collects its term products in one accumulator of the polynomial kernel.  The
+exponents of a product are bounded before it runs, from the cached
+``exponent_box`` of each factor: once per product or word image, never per
+term.
 One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
 stays inside the Laurent ring, dividing only exactly; the determinant is read
 off it, and solving and inversion divide its right block exactly by the final
@@ -23,11 +30,18 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import defaultdict
 from collections.abc import Sequence
 
 from .errors import Frozen, InternalCheckError, wire_index
-from .laurent import LaurentPoly, _add_product, _collected, divide_exact
+from .laurent import (
+    _ZERO,
+    LaurentPoly,
+    _add_product,
+    _check_range,
+    _collected,
+    _exponent_box,
+    divide_exact,
+)
 
 
 class RepMatrix(Frozen):
@@ -75,6 +89,7 @@ class RepMatrix(Frozen):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        _check_range((self.exponent_box, other.exponent_box))
         rows = other.sparse_rows
         return RepMatrix.from_sparse_rows([_times(row, rows) for row in self.sparse_rows])
 
@@ -82,6 +97,30 @@ class RepMatrix(Frozen):
     def sparse_rows(self) -> tuple:
         """Row r as the tuple of its nonzero (column, entry) pairs, by column."""
         return tuple(tuple((c, e) for c, e in enumerate(row) if e) for row in self.entries)
+
+    @functools.cached_property
+    def row_plan(self) -> tuple[tuple, tuple]:
+        """Rows of self * X read off the rows of X: (units, products).
+
+        ``units`` has (r, c) for each row r of self whose only entry is a 1
+        in a column c other than r: row r of self * X is row c of X.
+        ``products`` has (r, sparse row r) for each other row that differs
+        from the identity's.  A row equal to the identity's is in neither.
+        """
+        one = LaurentPoly.one()
+        units, products = [], []
+        for r, row in enumerate(self.sparse_rows):
+            if len(row) != 1 or row[0][1] != one:
+                products.append((r, row))
+            elif row[0][0] != r:
+                units.append((r, row[0][0]))
+        return tuple(units), tuple(products)
+
+    @functools.cached_property
+    def exponent_box(self) -> tuple[int, int, int, int]:
+        """(min a, min b, max a, max b) over the exponents of all entries;
+        zeros for the zero matrix."""
+        return _exponent_box(e for row in self.sparse_rows for _, e in row)
 
     def _entrywise(self, other: "RepMatrix", op) -> "RepMatrix":
         if not isinstance(other, RepMatrix):
@@ -154,22 +193,37 @@ class RepMatrix(Frozen):
 
 def _times(row, rows) -> list:
     """The sparse row vector row times the matrix with sparse rows rows."""
-    accs: defaultdict[int, dict] = defaultdict(dict)
+    accs = {}
     for c, a in row:
-        for c2, e in rows[c]:
-            _add_product(accs[c2], a, e)
-    return [(c, e) for c, terms in accs.items() if (e := _collected(terms))]
+        _add_product(accs, a, rows[c])
+    return [(c, e) for c, terms in accs.items() if (e := _collected(terms)) is not _ZERO]
 
 
 def _word_image(dim: int, letters, generator) -> RepMatrix:
-    """The dim x dim product, left to right, of the generator matrices
-    generator(abs(e), sign of e) over the letters e, kept as sparse rows and
-    dense only at the end."""
+    """The dim x dim product of the generator matrices G = generator(abs(e),
+    sign of e) over the letters e, kept as sparse rows and dense only at the
+    end.
+
+    The exponents of the product lie in the sum of the tables' exponent
+    boxes, which is checked once, before any product.  The product runs
+    right to left, acc = G * acc, so that row r of the new acc is row r of G
+    times acc.  A row of G equal to the identity's keeps acc's row r object,
+    a row whose only entry is a 1 in column c takes acc's row c object, and
+    only the other rows run ``_times``: no entry is copied into a fresh
+    polynomial, which also spares the garbage collector.
+    """
+    tables = [generator(abs(e), 1 if e > 0 else -1) for e in letters]
+    _check_range(g.exponent_box for g in tables)
     one = LaurentPoly.one()
     acc = [((r, one),) for r in range(dim)]
-    for e in letters:
-        rows = generator(abs(e), 1 if e > 0 else -1).sparse_rows
-        acc = [_times(row, rows) for row in acc]
+    for g in reversed(tables):
+        units, products = g.row_plan
+        new = acc.copy()
+        for r, c in units:
+            new[r] = acc[c]
+        for r, row in products:
+            new[r] = _times(row, acc)
+        acc = new
     return RepMatrix.from_sparse_rows(acc)
 
 
@@ -180,6 +234,8 @@ def relation_inverse(matrix: RepMatrix, coeffs, rep: str) -> RepMatrix:
     Row j of s^-1 is the vector coeffs times the rows j of s^0, s^1, ...
     Raises InternalCheckError, naming rep, unless s * s^-1 = I row by row.
     """
+    # s^-1 and s * s^-1 lie within len(coeffs) factors s and one coefficient
+    _check_range([matrix.exponent_box] * len(coeffs) + [_exponent_box(coeffs)])
     one = LaurentPoly.one()
     rows = matrix.sparse_rows
     inverse = []
@@ -195,10 +251,10 @@ def relation_inverse(matrix: RepMatrix, coeffs, rep: str) -> RepMatrix:
 
 def t_degree_range(matrix: RepMatrix) -> tuple[int, int]:
     """Smallest and largest exponent of the second variable over all entries."""
-    ranges = [e.degree_range(1) for row in matrix.sparse_rows for _, e in row]
-    if not ranges:
+    if not any(matrix.sparse_rows):
         raise ValueError("t-degree range of the zero matrix is undefined")
-    return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
+    _, lo, _, hi = matrix.exponent_box
+    return lo, hi
 
 
 def _eliminate(
@@ -242,14 +298,17 @@ def _eliminate(
                 e = row[j]
                 g = prow[j]
                 if e or (a and g):
-                    num = _collected(_add_product(_add_product({}, p, e), neg_a, g))
+                    accs = _add_product(_add_product({}, p, ((0, e),)), neg_a, ((0, g),))
+                    num = _collected(accs[0])
                     row[j] = _divide(num, p_prev)
         p_prev = p
     return p_prev, sign, [row[d:] for row in rows]
 
 
 def _divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    if not num or den.is_one():
+    # divide_exact checks the quotient's range, also when den is 1: each
+    # product of in-range entries decodes exactly but may leave the range
+    if not num:
         return num
     quot = divide_exact(num, den)
     if quot is None:

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from braidrep.laurent import LaurentPoly, divide_exact
+from braidrep.errors import ResourceGuardError
+from braidrep.laurent import MAX_EXPONENT, LaurentPoly, divide_exact
 
 Q = LaurentPoly.var_q()
 T = LaurentPoly.var_t()
 ONE = LaurentPoly.one()
+E = MAX_EXPONENT
 
 
 def random_poly(rng: random.Random, terms: int = 4) -> LaurentPoly:
@@ -222,3 +224,74 @@ def test_divide_exact_against_sympy():
             inexact += 1
             assert got is None
     assert exact > 40 and inexact > 40
+
+
+def test_exponents_at_the_edge_of_the_range_round_trip():
+    corners = {(-E, -E): 5, (-E, E): -2, (0, E): 7, (1, -E): -1, (E, -E): 3, (E, E): 1}
+    p = LaurentPoly(corners)
+    assert p.terms() == corners
+    assert p.to_text() == (
+        f"5*q^{-E}*t^{-E} + -2*q^{-E}*t^{E} + 7*q^0*t^{E} + -1*q^1*t^{-E}"
+        f" + 3*q^{E}*t^{-E} + 1*q^{E}*t^{E}"
+    )
+    assert LaurentPoly.from_text(p.to_text()) == p
+    assert p.pretty().startswith(f"5*q^{-E}*t^{-E} - 2*q^{-E}*t^{E} + 7*t^{E} - q*t^{-E}")
+    assert p.degree_range(0) == p.degree_range(1) == (-E, E)
+    assert p.t_constant_term() == LaurentPoly.zero()
+    assert divide_exact(p, ONE) == p
+    assert divide_exact(2 * p, LaurentPoly.const(2)) == p
+    edge = LaurentPoly.monomial(1, E - 1, -E)
+    assert divide_exact((ONE - Q) * edge, ONE - Q) == edge
+    assert divide_exact(LaurentPoly.monomial(-4, E, E), LaurentPoly.monomial(2, E, E)) == -2
+    assert p.subst_monomial((1, 1, 0), (1, 0, 1)) == p
+    swapped = p.subst_monomial((1, 0, 1), (1, 1, 0))
+    assert swapped.terms() == {(b, a): c for (a, b), c in corners.items()}
+    negated = p.subst_monomial((1, -1, 0), (1, 0, -1))
+    assert negated.terms() == {(-a, -b): c for (a, b), c in corners.items()}
+    assert LaurentPoly.monomial(1, -E, 0) * LaurentPoly.monomial(1, E, E) == T**E
+    assert T**E == LaurentPoly.monomial(1, 0, E)
+    assert Q**-E == LaurentPoly.monomial(1, -E, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPoly({(E + 1, 0): 1}),
+        lambda: LaurentPoly({(0, -E - 1): 1}),
+        lambda: LaurentPoly.monomial(1, 0, E + 1),
+        lambda: LaurentPoly.from_text(f"1*q^0*t^{E + 1}"),
+        lambda: LaurentPoly.from_text(f"1*q^{-E - 1}*t^0"),
+        lambda: LaurentPoly.monomial(1, 0, E) * T,
+        lambda: LaurentPoly.monomial(1, -E, 0) * (Q**-1 + T),
+        lambda: T ** (E + 1),
+        lambda: (ONE + T) ** (E + 1),
+        lambda: Q ** (-E - 1),
+        lambda: (T**2) ** 8192,
+        lambda: divide_exact(LaurentPoly.monomial(1, -E, 0), Q),
+        lambda: LaurentPoly.monomial(1, E, 0).subst_monomial((1, 2, 0), (1, 0, 1)),
+    ],
+)
+def test_one_step_past_the_range_is_refused(build):
+    with pytest.raises(ResourceGuardError):
+        build()
+
+
+def test_products_near_the_range_match_the_pair_arithmetic():
+    # exponents up to half the range in either sign, so products stay in it
+    rng = random.Random(707)
+    half = E // 2
+    for _ in range(100):
+        x, y = (
+            {(rng.randint(-half, half), rng.randint(-half, half)): rng.randint(-9, 9)
+             for _ in range(4)}
+            for _ in range(2)
+        )
+        expected: dict = {}
+        for (a1, b1), c1 in x.items():
+            for (a2, b2), c2 in y.items():
+                key = (a1 + a2, b1 + b2)
+                expected[key] = expected.get(key, 0) + c1 * c2
+        product = LaurentPoly(x) * LaurentPoly(y)
+        assert product.terms() == {key: c for key, c in expected.items() if c}
+        assert product.to_text() == LaurentPoly(expected).to_text()
+        assert (LaurentPoly(x) + LaurentPoly(y)) - LaurentPoly(y) == LaurentPoly(x)

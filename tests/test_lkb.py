@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from braidrep import cli, lkb
+from braidrep import cli, lkb, matrix
 from braidrep.braid import BraidWord, Permutation, refpairs
+from braidrep.burau import burau_generator, burau_of_word
 from braidrep.errors import InternalCheckError, ResourceGuardError
 from braidrep.garside import random_half_permutation
-from braidrep.laurent import LaurentPoly
+from braidrep.laurent import MAX_EXPONENT, LaurentPoly
 from braidrep.lkb import (
     WVector,
     apply_positive_word,
@@ -387,6 +388,45 @@ def test_image_is_multiplicative():
         for _ in range(6):
             u, v = random_word(n, 8, rng), random_word(n, 8, rng)
             assert lkb_of_word(u * v) == lkb_of_word(u) * lkb_of_word(v)
+
+
+def test_image_is_the_left_fold_of_generator_products():
+    # the word images multiply right to left, skipping unit rows; the
+    # unchanged RepMatrix product, left to right, must give the same matrix
+    rng = random.Random(26)
+    for n in range(2, 7):
+        for length in (0, 1, 2, 7, 16):
+            word = random_word(n, length, rng)
+            for image, generator, dim in (
+                (lkb_of_word, lkb_generator, lkb_dim(n)),
+                (burau_of_word, burau_generator, n),
+            ):
+                fold = RepMatrix.identity(dim)
+                for e in word.letters:
+                    fold = fold * generator(n, abs(e), 1 if e > 0 else -1)
+                assert image(word) == fold, (n, word.letters)
+
+
+@pytest.mark.parametrize(
+    "command, n, word",
+    [
+        # sigma_2 of B_3 raises the q-exponent by up to 3 per letter
+        (["length-omega"], 3, "2," * 5462),
+        (["matrix", "--rep", "lkb"], 3, "2," * 5462),
+        # sigma_1 raises the t-exponent of the Burau image by 1 per letter
+        (["matrix", "--rep", "burau"], 2, "1," * (MAX_EXPONENT + 1)),
+    ],
+    ids=["length-omega", "matrix-lkb", "matrix-burau"],
+)
+def test_word_image_out_of_the_exponent_range_is_refused(monkeypatch, capsys, command, n, word):
+    products = []
+    monkeypatch.setattr(matrix, "_times", lambda *args: products.append(args))
+    monkeypatch.setenv("BRAIDREP_MAX_EXACT_LETTERS", "100000")
+    started = time.monotonic()
+    code, out, err = _cli(capsys, *command, "--n", str(n), f"--word={word[:-1]}")
+    assert time.monotonic() - started < 1.0
+    assert (code, out, products) == (3, "", [])
+    assert err.startswith("resource guard: exponent ") and err.count("\n") == 1
 
 
 def test_omega_ball_env_cap(monkeypatch):
