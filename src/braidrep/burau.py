@@ -8,7 +8,7 @@ t = 1 recovers the permutation matrices of the symmetric group, and the
 whole representation splits off a trivial one-dimensional summand, exposed
 here as the reduced (n-1)-dimensional view.  Each generator and its inverse
 are cached once, by ``burau_generator``; word images multiply their sparse
-rows like the LKB ones (``matrix._word_image``).
+rows like the LKB ones (``matrix._product``).
 
 This representation is unfaithful from five strands on (Bigelow, Geom.
 Topol. 3, 1999); ``kernel_word_b6`` returns the classical 44-letter
@@ -24,7 +24,7 @@ from fractions import Fraction
 from .braid import BraidWord, Permutation
 from .errors import InternalCheckError
 from .laurent import LaurentPoly
-from .matrix import RepMatrix, _word_image, relation_inverse, solve
+from .matrix import RepMatrix, _product, relation_inverse, solve
 
 
 # The Hecke relation (s - 1)(s + t) = 0 gives s^-1 = u s + v with these (u, v).
@@ -51,7 +51,8 @@ def burau_generator(n: int, i: int, sign: int = 1) -> RepMatrix:
 
 
 def burau_of_word(word: BraidWord) -> RepMatrix:
-    return _word_image(word.n, word.letters, functools.partial(burau_generator, word.n))
+    n = word.n
+    return _product(n, [burau_generator(n, abs(e), 1 if e > 0 else -1) for e in word.letters])
 
 
 def kernel_word_b6() -> BraidWord:

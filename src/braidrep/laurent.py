@@ -26,8 +26,9 @@ after it is formed.  The range is checked where exponents can grow:
   - on each term that the constructor, ``monomial``, ``from_text`` and
     ``subst_monomial`` build;
   - on exponent boxes (``_check_range``): before a product (``__mul__``,
-    ``__pow__``, and in ``matrix`` the matrix product, the word images and
-    the inverse generator tables), and on each quotient of ``divide_exact``,
+    ``__pow__``, and in ``matrix`` ``_product``, which ``RepMatrix.__mul__``
+    and the word images run, and ``relation_inverse``, which builds the
+    inverse generator tables), and on each quotient of ``divide_exact``,
     hence on every entry that the elimination in ``matrix`` stores.
 An exponent out of range raises ``ResourceGuardError``; no key wraps.
 
@@ -35,7 +36,7 @@ All term collection goes through one private kernel: ``_accumulate`` adds
 (key, coefficient) items into a dict and drops zero sums, and ``_add_product``,
 the only loop over term pairs, adds x times each entry of a sparse row into
 one accumulator per column, which ``_collected`` turns into a polynomial.
-The sparse-row product ``matrix._times`` (``RepMatrix.__mul__``, the word
+The sparse-row product ``matrix._times`` (in the matrix product, the word
 images and the inverse generator tables), ``LaurentPoly.__mul__``, the
 elimination in ``matrix`` and the W-vector action in ``lkb`` use it.
 """

@@ -49,7 +49,7 @@ from .braid import BraidWord, all_permutations, refpairs
 from .errors import Frozen, InternalCheckError, ResourceGuardError
 from .garside import _signed_normal_form
 from .laurent import LaurentPoly, _accumulate
-from .matrix import RepMatrix, _word_image, relation_inverse, t_degree_range
+from .matrix import RepMatrix, _product, relation_inverse, t_degree_range
 
 
 def lkb_dim(n: int) -> int:
@@ -121,7 +121,9 @@ def lkb_generator(n: int, k: int, sign: int = 1) -> RepMatrix:
 
 
 def lkb_of_word(word: BraidWord) -> RepMatrix:
-    return _word_image(lkb_dim(word.n), word.letters, functools.partial(lkb_generator, word.n))
+    n = word.n
+    tables = [lkb_generator(n, abs(e), 1 if e > 0 else -1) for e in word.letters]
+    return _product(lkb_dim(n), tables)
 
 
 @functools.lru_cache(maxsize=None)

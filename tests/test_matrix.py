@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from braidrep import matrix
 from braidrep.braid import BraidWord
-from braidrep.errors import InternalCheckError
-from braidrep.laurent import LaurentPoly
+from braidrep.errors import InternalCheckError, ResourceGuardError
+from braidrep.laurent import MAX_EXPONENT, LaurentPoly
 from braidrep.lkb import lkb_generator, lkb_of_word
 from braidrep.matrix import RepMatrix, mat_det, mat_inverse, t_degree_range
 from braidrep.verify import random_word
@@ -206,11 +207,23 @@ def _naive_product(x: RepMatrix, y: RepMatrix) -> tuple[tuple[LaurentPoly, ...],
 def test_product_matches_naive_sum_of_products():
     rng = random.Random(18)
     pool = [ONE, -ONE, T, -T, Q - T, T - Q, Q * T**-1, ONE - Q]
-    for _ in range(80):
+    for trial in range(80):
         d = rng.randint(1, 6)
         x, y = (random_matrix(rng, d) for _ in range(2))
         rows = [list(row) for row in x.entries]
         other = [list(row) for row in y.entries]
+        # rows of x with one entry: a 1 on the diagonal (an identity row), a 1
+        # off it (a unit row), or -1, q or t anywhere, none of them a unit row
+        for r in range(1, d - 1):
+            kind = (trial + r) % 4
+            if kind < 3:
+                rows[r] = [ZERO] * d
+                if kind == 0:
+                    rows[r][r] = ONE
+                elif kind == 1:
+                    rows[r][rng.choice([c for c in range(d) if c != r])] = ONE
+                else:
+                    rows[r][rng.randrange(d)] = rng.choice((-ONE, Q, T))
         if d >= 2:
             # row 0 of x * y cancels to zero: x[0] = (p, -p, 0, ...), y[0] = y[1]
             p = rng.choice(pool)
@@ -224,6 +237,14 @@ def test_product_matches_naive_sum_of_products():
         assert all(0 not in e.terms().values() for row in product.entries for e in row)
         if d >= 2:
             assert not any(product.entries[0]) and not any(product.entries[-1])
+
+
+def test_product_past_the_exponent_range_is_refused_before_any_row(monkeypatch):
+    edge = RepMatrix.from_rows([[T ** (MAX_EXPONENT - 1)]]) * RepMatrix.from_rows([[T]])
+    assert edge.entries == ((T**MAX_EXPONENT,),)
+    monkeypatch.setattr(matrix, "_times", lambda *args: pytest.fail("a row product ran"))
+    with pytest.raises(ResourceGuardError):
+        RepMatrix.from_rows([[T**MAX_EXPONENT]]) * RepMatrix.from_rows([[T]])
 
 
 def _sparse_view_cases():
