@@ -19,7 +19,6 @@ generator whose Burau images commute while the braids themselves do not.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .braid import BraidWord, Permutation
 from .errors import InternalCheckError
@@ -72,12 +71,11 @@ def kernel_word_b6() -> BraidWord:
 
 def burau_specialize_t1(matrix: RepMatrix) -> tuple[tuple[int, ...], ...]:
     """Evaluate at t = 1; the result must be a 0/1 permutation matrix."""
-    one = Fraction(1)
     rows = []
     for row in matrix.entries:
         out = []
         for e in row:
-            v = e.evaluate(one, one)
+            v = e.evaluate(1, 1)
             if v not in (0, 1):
                 raise InternalCheckError(f"entry {v} at t=1 is not 0 or 1")
             out.append(int(v))

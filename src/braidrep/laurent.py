@@ -43,11 +43,15 @@ elimination in ``matrix`` and the W-vector action in ``lkb`` use it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import ResourceGuardError
+
+# fractions is imported in the functions that make a Fraction: a cold CLI
+# request never makes one, and the import costs it about 2 ms.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_EXPONENT = (1 << 14) - 1
 _SHIFT = 16  # key = a * 2^_SHIFT + b
@@ -283,6 +287,8 @@ class LaurentPoly:
         A zero point is only rejected when the corresponding variable occurs
         with a negative exponent somewhere in the polynomial.
         """
+        from fractions import Fraction
+
         t_value = Fraction(t_value)
         if t_value == 0 and any(b < 0 for _, b in self.terms()):
             raise ValueError("zero evaluation point for a variable with negative exponent")
@@ -294,6 +300,8 @@ class LaurentPoly:
 
         Returns a map from second-variable exponent to exact rational coefficient.
         """
+        from fractions import Fraction
+
         q_value = Fraction(q_value)
         terms = self.terms().items()
         if q_value == 0 and any(a < 0 for (a, _), _ in terms):

@@ -37,19 +37,31 @@ survives them raises ``InternalCheckError``.  There, in ``length_omega``
 and in the CLI's ``matrix`` (either rep), only words of at most
 BRAIDREP_MAX_EXACT_LETTERS letters get an exact image
 (``ResourceGuardError`` beyond).
+
+``lkb_of_word`` multiplies the letters as written, never a rewritten word:
+it is the oracle that the normal form is tested against, and the exact
+check that settles a collision mod P, so a fault in the normal form cannot
+reach it.  ``length_omega`` alone skips the product of a signed word whose
+normal form is empty, a trivial braid, after the cap and the exponent range
+have judged the word as given.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .braid import BraidWord, all_permutations, refpairs
 from .errors import Frozen, InternalCheckError, ResourceGuardError
 from .garside import _signed_normal_form
-from .laurent import LaurentPoly, _accumulate
+from .laurent import LaurentPoly, _accumulate, _check_range
 from .matrix import RepMatrix, _product, relation_inverse, t_degree_range
+
+# fractions is imported in the functions that make a Fraction: a cold CLI
+# request never makes one, and the import costs it about 2 ms.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def lkb_dim(n: int) -> int:
@@ -120,10 +132,14 @@ def lkb_generator(n: int, k: int, sign: int = 1) -> RepMatrix:
     return RepMatrix.from_sparse_rows(rows)
 
 
-def lkb_of_word(word: BraidWord) -> RepMatrix:
+def _generator_tables(word: BraidWord) -> list[RepMatrix]:
     n = word.n
-    tables = [lkb_generator(n, abs(e), 1 if e > 0 else -1) for e in word.letters]
-    return _product(lkb_dim(n), tables)
+    return [lkb_generator(n, abs(e), 1 if e > 0 else -1) for e in word.letters]
+
+
+def lkb_of_word(word: BraidWord) -> RepMatrix:
+    """The product of the generator tables of the letters as written."""
+    return _product(lkb_dim(word.n), _generator_tables(word))
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,12 +289,19 @@ def length_omega(word: BraidWord) -> int:
 
     Read off the t-degree span [k, l] of the image: the length is
     max(l-k, l, -k), which is 0 exactly for the trivial braid.  B_1 is
-    trivial, so every word on one strand has length 0.  The image is built
-    only for words within ``_guard_exact_images``.
+    trivial, so every word on one strand has length 0.
+
+    A signed word whose signed normal form is empty is a trivial braid: it
+    has length 0 with no product, once it has passed the checks its image
+    would, the cap of ``_guard_exact_images`` and the exponent range.  Any
+    other word is multiplied as given.
     """
     if word.n == 1:
         return 0
     _guard_exact_images(word)
+    if not word.is_positive and _signed_normal_form(word) == (0, ()):
+        _check_range(g.exponent_box for g in _generator_tables(word))
+        return 0
     lo, hi = t_degree_range(lkb_of_word(word))
     return max(hi - lo, hi, -lo)
 
@@ -372,6 +395,8 @@ class WVector(Frozen):
 
     @classmethod
     def from_maps(cls, n: int, maps) -> "WVector":
+        from fractions import Fraction
+
         coords = tuple(
             tuple(sorted((int(e), Fraction(c)) for e, c in m.items() if c))
             for m in maps
@@ -379,6 +404,8 @@ class WVector(Frozen):
         return cls(n, coords)
 
     def constant_term(self, idx: int) -> Fraction:
+        from fractions import Fraction
+
         for exp, c in self.coords[idx]:
             if exp == 0:
                 return c
@@ -403,9 +430,10 @@ def w_class(vector: WVector) -> frozenset[tuple[int, int]]:
 
 
 def apply_positive_word(
-    word: BraidWord, vector: WVector, q_value: Fraction = Fraction(1, 2)
+    word: BraidWord, vector: WVector, q_value: Fraction | float = 0.5
 ) -> WVector:
-    """Apply the matrix of a positive word to the vector, q evaluated exactly."""
+    """Apply the matrix of a positive word to the vector, q evaluated
+    exactly at q_value (0.5 is exactly 1/2 as a Fraction)."""
     if word.n != vector.n:
         raise ValueError(f"strand count mismatch: {word.n} vs {vector.n}")
     if not word.is_positive:

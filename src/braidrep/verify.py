@@ -14,7 +14,6 @@ it exactly (evaluation is a ring homomorphism), with no exact LKB image.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .braid import BraidWord, all_permutations, refpairs
 from .bmw import bmw_relation_check
@@ -237,6 +236,8 @@ def suite_garside(n: int) -> list[CheckResult]:
 def random_w_vector(
     n: int, pairs: frozenset[tuple[int, int]], rng: random.Random
 ) -> WVector:
+    from fractions import Fraction  # here, not at module level: no cold CLI request needs it
+
     maps = []
     for pair in refpairs(n):
         coeffs: dict[int, Fraction] = {}
@@ -252,6 +253,8 @@ def random_w_vector(
 def suite_lkb_positivity(n: int) -> list[CheckResult]:
     if not 3 <= n <= 6:
         raise ResourceGuardError(f"lkb-positivity suite supports 3 <= n <= 6, got {n}")
+    from fractions import Fraction
+
     rng = random.Random(30_000 + n)
     points = (Fraction(1, 2), Fraction(1, 3))
     ok = True

@@ -313,6 +313,16 @@ def test_signed_normal_form_against_lkb():
         assert _signed_normal_form(w.inverse() * w) == (0, ())
 
 
+def test_signed_normal_form_is_the_same_braid_exactly():
+    # length_omega answers 0 with no product when the normal form is empty
+    rng = random.Random(62)
+    for n in range(2, 7):
+        for length in range(13):
+            w = random_word(n, length, rng)
+            nf_word = _as_word(n, *_signed_normal_form(w))
+            assert lkb_of_word(nf_word) == lkb_of_word(w), (n, w.letters)
+
+
 def test_signed_normal_form_is_equality_oracle():
     for w, rng in _signed_words(61, 300):
         image = lkb_of_word(w)

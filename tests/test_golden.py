@@ -13,6 +13,9 @@ from braidrep.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 WORDS = {2: "-1,-1,-1", 4: "1,-2,3", 5: "1,-2,3,-4,2,2,-1,3"}
+# u * v^-1 with v a rewrite of u: the identity braid, though free reduction
+# leaves 20 letters; one more letter makes a braid of length 1
+TRIVIAL_N5 = "1,-2,3,-4,2,2,-1,3,4,-3,2,1,-1,-2,1,3,-4,-3,-2,4,-2,-3,2,-1"
 
 CASES = {}
 for n, word in WORDS.items():
@@ -21,6 +24,8 @@ for n, word in WORDS.items():
     for rep in ("lkb", "burau"):
         for fmt in ("json", "pretty"):
             CASES[f"matrix_{rep}_n{n}_{fmt}"] = ["matrix", "--rep", rep, *args, "--format", fmt]
+for name, word in (("trivial", TRIVIAL_N5), ("near_trivial", TRIVIAL_N5 + ",2")):
+    CASES[f"length_omega_n5_{name}"] = ["length-omega", "--n", "5", f"--word={word}"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -64,4 +64,4 @@ def test_cold_cli_import_loads_no_dataclasses_or_json():
     )
     loaded = set(done.stdout.split())
     assert "braidrep.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "json"})
+    assert loaded.isdisjoint({"dataclasses", "inspect", "json", "fractions", "decimal"})

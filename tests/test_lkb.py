@@ -271,23 +271,25 @@ def test_exact_fallback_is_guarded(monkeypatch, capsys):
     "command", (["length-omega"], ["matrix", "--rep", "lkb"], ["matrix", "--rep", "burau"])
 )
 def test_exact_image_commands_are_guarded(monkeypatch, capsys, command):
-    word = BraidWord(3, (1, 2) * 50 + (1,))
-    argv = command + ["--n", "3", f"--word={word.to_text()}"]
-    rep = "Burau" if "burau" in command else "LKB"
-    monkeypatch.delenv("BRAIDREP_MAX_EXACT_LETTERS", raising=False)
-    started = time.monotonic()
-    code, out, err = _cli(capsys, *argv)
-    assert time.monotonic() - started < 1.0
-    assert (code, out) == (3, "")
-    assert err == (
-        f"resource guard: exact {rep} image of a 101-letter word exceeds 100 letters"
-        " (set BRAIDREP_MAX_EXACT_LETTERS to raise)\n"
-    )
-    monkeypatch.setenv("BRAIDREP_MAX_EXACT_LETTERS", "101")
-    code, out, err = _cli(capsys, *argv)
-    assert (code, err) == (0, "") and out
-    if command == ["length-omega"]:
-        assert out == f"{length_omega(word)}\n"
+    # the cap counts the letters as given, also those of a word whose normal
+    # form is empty: (s1 s2 s1) (s2 s1 s2)^-1 is trivial
+    for word in (BraidWord(3, (1, 2) * 50 + (1,)), BraidWord(3, (1, 2, 1, -2, -1, -2) * 17)):
+        argv = command + ["--n", "3", f"--word={word.to_text()}"]
+        rep = "Burau" if "burau" in command else "LKB"
+        monkeypatch.delenv("BRAIDREP_MAX_EXACT_LETTERS", raising=False)
+        started = time.monotonic()
+        code, out, err = _cli(capsys, *argv)
+        assert time.monotonic() - started < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"resource guard: exact {rep} image of a {len(word)}-letter word exceeds 100 letters"
+            " (set BRAIDREP_MAX_EXACT_LETTERS to raise)\n"
+        )
+        monkeypatch.setenv("BRAIDREP_MAX_EXACT_LETTERS", str(len(word)))
+        code, out, err = _cli(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        if command == ["length-omega"]:
+            assert out == f"{length_omega(word)}\n"
 
 
 def test_length_omega_guard(monkeypatch):
@@ -297,6 +299,34 @@ def test_length_omega_guard(monkeypatch):
         length_omega(BraidWord(3, (1, 2, 1, 2)))
     # one strand needs no image
     assert length_omega(BraidWord(1)) == 0
+
+
+def _literal_length(word: BraidWord) -> int:
+    lo, hi = t_degree_range(lkb_of_word(word))
+    return max(hi - lo, hi, -lo)
+
+
+def test_length_omega_matches_the_literal_image():
+    # length_omega answers 0 with no product when the normal form is empty;
+    # the span of the word's own image must give the same length
+    rng = random.Random(63)
+    for n in range(2, 8):
+        for _ in range(6):
+            u = random_word(n, 10, rng)
+            trivial = u * rewritten_equivalent(u, 6, rng).inverse()
+            near = trivial * BraidWord(n, (rng.choice((1, -1)) * rng.randint(1, n - 1),))
+            assert (length_omega(trivial), length_omega(near)) == (0, 1), (n, near.letters)
+            for w in (random_word(n, 12, rng), trivial, near):
+                assert length_omega(w) == _literal_length(w), (n, w.letters)
+
+
+def test_length_omega_of_a_trivial_word_multiplies_nothing(monkeypatch):
+    word = BraidWord.from_text(5, "1,-2,3,-4,2,2,-1,3,4,-3,2,1,-1,-2,1,3,-4,-3,-2,4,-2,-3,2,-1")
+    assert len(word) == 24 and lkb_of_word(word).is_identity()  # tables cached here
+    products = []
+    monkeypatch.setattr(matrix, "_times", lambda *args: products.append(args))
+    assert length_omega(word) == 0
+    assert products == []
 
 
 def _long_word(n: int, length: int, rng: random.Random) -> BraidWord:
@@ -424,13 +454,18 @@ def test_image_is_the_left_fold_of_generator_products():
     [
         # sigma_2 of B_3 raises the q-exponent by up to 3 per letter
         (["length-omega"], 3, "2," * 5462),
+        # judged as given: its normal form is empty
+        (["length-omega"], 3, "2," * 5462 + "-2," * 5462),
         (["matrix", "--rep", "lkb"], 3, "2," * 5462),
         # sigma_1 raises the t-exponent of the Burau image by 1 per letter
         (["matrix", "--rep", "burau"], 2, "1," * (MAX_EXPONENT + 1)),
     ],
-    ids=["length-omega", "matrix-lkb", "matrix-burau"],
+    ids=["length-omega", "length-omega-trivial", "matrix-lkb", "matrix-burau"],
 )
 def test_word_image_out_of_the_exponent_range_is_refused(monkeypatch, capsys, command, n, word):
+    for k in range(1, n):  # inverse tables are built with _times: build them first
+        lkb_generator(n, k, -1)
+        burau_generator(n, k, -1)
     products = []
     monkeypatch.setattr(matrix, "_times", lambda *args: products.append(args))
     monkeypatch.setenv("BRAIDREP_MAX_EXACT_LETTERS", "100000")
